@@ -4,24 +4,27 @@ Exact routes (extreme-valuation instantiation for L/U models, integer
 enumeration for integer-point-sufficient bounded models) are preferred;
 everything else falls back to budgeted symbolic exploration, which can
 answer NonEmpty soundly and Empty only on complete exploration.  Every
-NonEmpty verdict carries a witness valuation that the regions module
-reconfirms independently.
+NonEmpty verdict carries a witness valuation, checked once, here, by the
+route's region-graph query on the instantiation at that valuation; a
+failing check raises InternalError, which the CLI reports with exit 1.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from . import poly, regions, symbolic
-from .errors import NotLUError, OpenBoundsError, UnboundedError
+from .errors import InternalError, NotLUError, OpenBoundsError, UnboundedError
 from .model import (
     MAX_LOWER_MIN_UPPER,
     MIN_LOWER_MAX_UPPER,
     ParamValuation,
     Pta,
+    Ta,
     classify,
     extreme_valuation,
     instantiate,
@@ -69,24 +72,50 @@ class IpCheckResult:
     complete: bool = False
 
 
-def integer_valuations(pta: Pta, budget: Budget = Budget()) -> list[ParamValuation]:
-    """All integer parameter valuations inside the bounds box."""
-    if not pta.parameters:
-        return [ParamValuation.of({})]
+RegionQuery = Callable[[Ta], list[int] | bool | None]
+
+
+def _witness(pta: Pta, v: ParamValuation, query: RegionQuery) -> Witness | None:
+    """Run the route's region query (a reachability path, or the truth of a
+    lasso or deadlock) once, on the instantiation at v: the witness at v, or
+    None when the query fails there.  Every nonempty verdict's witness comes
+    from here."""
+    found = query(instantiate(pta, v))
+    if found is None or found is False:
+        return None
+    return Witness(v, None if found is True else tuple(found))
+
+
+def _certified(pta: Pta, sample: Mapping[str, Fraction],
+               query: RegionQuery) -> Witness:
+    """The witness at a sample of valuations that symbolic exploration
+    proved; the region query failing there is a bug in the toolkit."""
+    v = ParamValuation.of(sample)
+    w = _witness(pta, v, query)
+    if w is None:
+        shown = ", ".join(f"{name}={val}" for name, val in v.items)
+        raise InternalError(f"the region graph refutes the witness {shown}")
+    return w
+
+
+def _int_ranges(pta: Pta, budget: Budget) -> list[range]:
+    """Per parameter, the integers inside its bounds; the box they span
+    must fit the budget's cap on integer valuations."""
     bounds = pta.bounds_map()
-    if bounds is None:
+    if bounds is None and pta.parameters:
         raise UnboundedError("integer enumeration requires parameter bounds")
     ranges = [bounds[p].integers() for p in pta.parameters]
-    count = 1
-    for r in ranges:
-        count *= max(len(r), 0)
+    count = math.prod(len(r) for r in ranges)
     if count > budget.max_int_valuations:
         raise UnboundedError(
             f"integer enumeration of {count} valuations exceeds the budget cap")
-    out = []
-    for combo in itertools.product(*ranges):
-        out.append(ParamValuation.of(dict(zip(pta.parameters, combo))))
-    return out
+    return ranges
+
+
+def integer_valuations(pta: Pta, budget: Budget = Budget()) -> list[ParamValuation]:
+    """All integer parameter valuations inside the bounds box."""
+    return [ParamValuation.of(dict(zip(pta.parameters, combo)))
+            for combo in itertools.product(*_int_ranges(pta, budget))]
 
 
 def ef_synth_int(pta: Pta, targets: Iterable[str],
@@ -101,9 +130,8 @@ def ef_synth_int(pta: Pta, targets: Iterable[str],
     return IntValuationSet(tuple(hits))
 
 
-def _finite_upper_witness(pta: Pta, targets: frozenset[str],
-                          ext: dict[str, Fraction | None]
-                          ) -> tuple[ParamValuation, list[int]]:
+def _finite_upper_witness(pta: Pta, reach: RegionQuery,
+                          ext: dict[str, Fraction | None]) -> Witness:
     """A finite valuation witnessing reachability proved at the upper
     extreme; unbounded upper parameters only help when raised, so doubling
     a candidate value terminates."""
@@ -114,11 +142,11 @@ def _finite_upper_witness(pta: Pta, targets: frozenset[str],
     for _ in range(64):
         v = ParamValuation.of({p: candidate if val is None else val
                                for p, val in ext.items()})
-        path = regions.reach_path(instantiate(pta, v), targets)
-        if path is not None:
-            return v, path
+        w = _witness(pta, v, reach)
+        if w is not None:
+            return w
         candidate *= 2
-    raise AssertionError("no finite witness found below the doubling cap")
+    raise InternalError("no finite witness found below the doubling cap")
 
 
 def ef_emptiness(pta: Pta, targets: Iterable[str], budget: Budget = Budget(),
@@ -127,38 +155,36 @@ def ef_emptiness(pta: Pta, targets: Iterable[str], budget: Budget = Budget(),
     targets = frozenset(targets)
     cls = classify(pta)
 
+    def reach(ta: Ta) -> list[int] | None:
+        return regions.reach_path(ta, targets)
+
     if cls.lu_partition is not None and (pta.bounds is None or cls.bounds_all_closed):
-        ta = instantiate_extreme(pta, MIN_LOWER_MAX_UPPER)
-        path = regions.reach_path(ta, targets)
-        if path is None:
-            return Verdict("EF", EMPTY, "lu_extreme")
         ext = extreme_valuation(pta, MIN_LOWER_MAX_UPPER)
-        if any(val is None for val in ext.values()):
-            v, path = _finite_upper_witness(pta, targets, ext)
+        # With every extreme value finite, instantiate_extreme is the
+        # instantiation at ext, so the decision also checks the witness.
+        if all(val is not None for val in ext.values()):
+            w = _witness(pta, ParamValuation.of(ext), reach)
+        elif reach(instantiate_extreme(pta, MIN_LOWER_MAX_UPPER)) is None:
+            w = None
         else:
-            v = ParamValuation.of(ext)
-        return Verdict("EF", NONEMPTY, "lu_extreme", Witness(v, tuple(path)))
+            w = _finite_upper_witness(pta, reach, ext)
+        if w is None:
+            return Verdict("EF", EMPTY, "lu_extreme")
+        return Verdict("EF", NONEMPTY, "lu_extreme", w)
 
     if cls.is_bounded and pta.parameters and (
             (cls.ip_sufficient and cls.bounds_all_closed) or assert_ip):
-        hits = ef_synth_int(pta, targets, budget)
-        if hits.empty:
-            return Verdict("EF", EMPTY, "ip_integer_enum")
-        v = hits.valuations[0]
-        path = regions.reach_path(instantiate(pta, v), targets)
-        assert path is not None
-        return Verdict("EF", NONEMPTY, "ip_integer_enum", Witness(v, tuple(path)))
+        for v in integer_valuations(pta, budget):
+            w = _witness(pta, v, reach)
+            if w is not None:
+                return Verdict("EF", NONEMPTY, "ip_integer_enum", w)
+        return Verdict("EF", EMPTY, "ip_integer_enum")
 
     union, status = symbolic.reach_project(pta, targets, budget)
     hit_budget = status != symbolic.COMPLETE
     if not union.empty:
-        sample = poly.sample_point(union.disjuncts[0])
-        assert sample is not None
-        v = ParamValuation.of(sample)
-        path = regions.reach_path(instantiate(pta, v), targets)
-        assert path is not None, "projection sample must be reachable"
-        return Verdict("EF", NONEMPTY, "symbolic_semi", Witness(v, tuple(path)),
-                       budget_hit=hit_budget)
+        w = _certified(pta, poly.sample_point(union.disjuncts[0]), reach)
+        return Verdict("EF", NONEMPTY, "symbolic_semi", w, budget_hit=hit_budget)
     if not hit_budget:
         return Verdict("EF", EMPTY, "symbolic_semi")
     return Verdict("EF", UNKNOWN, "symbolic_semi", budget_hit=True)
@@ -170,13 +196,11 @@ def ef_universality(pta: Pta, targets: Iterable[str]) -> Verdict:
     (lower parameters maximal, upper parameters minimal).  Answer nonempty
     means universal; the witness is the worst-case valuation."""
     targets = frozenset(targets)
-    ta = instantiate_extreme(pta, MAX_LOWER_MIN_UPPER)
-    path = regions.reach_path(ta, targets)
-    if path is None:
+    v = ParamValuation.of(extreme_valuation(pta, MAX_LOWER_MIN_UPPER))
+    w = _witness(pta, v, lambda ta: regions.reach_path(ta, targets))
+    if w is None:
         return Verdict("EFU", EMPTY, "lu_worst_case")
-    ext = extreme_valuation(pta, MAX_LOWER_MIN_UPPER)
-    v = ParamValuation.of(ext)
-    return Verdict("EFU", NONEMPTY, "lu_worst_case", Witness(v, tuple(path)))
+    return Verdict("EFU", NONEMPTY, "lu_worst_case", w)
 
 
 def _require_closed_lu(pta: Pta, what: str):
@@ -192,13 +216,12 @@ def ec_emptiness(pta: Pta) -> Verdict:
     """Cycle emptiness for closed-bounded L/U models: a cycle exists for
     some valuation iff one exists at the lower/upper extreme."""
     _require_closed_lu(pta, "cycle emptiness")
-    ta = instantiate_extreme(pta, MIN_LOWER_MAX_UPPER)
-    everywhere = [loc.name for loc in ta.locations]
-    if regions.ta_lasso(ta, everywhere):
-        ext = extreme_valuation(pta, MIN_LOWER_MAX_UPPER)
-        v = ParamValuation.of(ext)
-        return Verdict("EC", NONEMPTY, "lu_extreme_lasso", Witness(v))
-    return Verdict("EC", EMPTY, "lu_extreme_lasso")
+    everywhere = [loc.name for loc in pta.locations]
+    v = ParamValuation.of(extreme_valuation(pta, MIN_LOWER_MAX_UPPER))
+    w = _witness(pta, v, lambda ta: regions.ta_lasso(ta, everywhere))
+    if w is None:
+        return Verdict("EC", EMPTY, "lu_extreme_lasso")
+    return Verdict("EC", NONEMPTY, "lu_extreme_lasso", w)
 
 
 def deadlock_region(pta: Pta, state: SymbolicState) -> poly.PolyUnion:
@@ -233,10 +256,10 @@ def eg_emptiness(pta: Pta, targets: Iterable[str],
     witnesses that deadlock inside the set."""
     targets = frozenset(targets)
     _require_closed_lu(pta, "unavoidable-exit emptiness")
-    ta = instantiate_extreme(pta, MIN_LOWER_MAX_UPPER)
-    if regions.ta_lasso(ta, targets):
-        v = ParamValuation.of(extreme_valuation(pta, MIN_LOWER_MAX_UPPER))
-        return Verdict("EG", NONEMPTY, "lu_extreme_lasso", Witness(v))
+    v = ParamValuation.of(extreme_valuation(pta, MIN_LOWER_MAX_UPPER))
+    w = _witness(pta, v, lambda ta: regions.ta_lasso(ta, targets))
+    if w is not None:
+        return Verdict("EG", NONEMPTY, "lu_extreme_lasso", w)
 
     result = symbolic.explore(pta, budget, restrict_to=targets,
                               use_subsumption=False)
@@ -247,9 +270,9 @@ def eg_emptiness(pta: Pta, targets: Iterable[str],
             sample = poly.sample_point(proj)
             if sample is None:
                 continue
-            v = ParamValuation.of(sample)
-            assert regions.deadlock_within(instantiate(pta, v), targets)
-            return Verdict("EG", NONEMPTY, "t_restricted_deadlock", Witness(v),
+            w = _certified(pta, sample,
+                           lambda ta: regions.deadlock_within(ta, targets))
+            return Verdict("EG", NONEMPTY, "t_restricted_deadlock", w,
                            budget_hit=not result.complete)
     if result.complete:
         return Verdict("EG", EMPTY, "t_restricted_deadlock")
@@ -269,6 +292,13 @@ def ed_synth_semi(pta: Pta, budget: Budget = Budget()
     return poly.union_of(pieces), result.status
 
 
+def ed_witness(pta: Pta, union: poly.PolyUnion) -> Witness:
+    """The witness of a nonempty ed_synth_semi union: the sample of its
+    first disjunct, checked for a reachable deadlock on the region graph."""
+    return _certified(pta, poly.sample_point(union.disjuncts[0]),
+                      regions.ta_deadlock)
+
+
 def ip_check(pta: Pta, budget: Budget = Budget()) -> IpCheckResult:
     """Integer-point property of reachable symbolic states: syntactic
     confirmation when the classification is sufficient, else a budgeted
@@ -280,6 +310,7 @@ def ip_check(pta: Pta, budget: Budget = Budget()) -> IpCheckResult:
         return IpCheckResult(CONFIRMED_SYNTACTIC, complete=True)
     if pta.parameters and pta.bounds is None:
         raise UnboundedError("integer-point check requires parameter bounds")
+    _int_ranges(pta, budget)  # has_integer_point enumerates this box per state
     bounds = pta.bounds_map() or {}
     result = symbolic.explore(pta, budget)
     for state in result.states:
@@ -290,8 +321,8 @@ def ip_check(pta: Pta, budget: Budget = Budget()) -> IpCheckResult:
 
 def verify_witness(pta: Pta, prop: str, witness: Witness,
                    targets: Iterable[str] = ()) -> bool:
-    """Reconfirm a witness valuation on the region graph of its
-    instantiation; used by the CLI before printing any nonempty verdict."""
+    """Reconfirm a witness valuation on a fresh region graph of its
+    instantiation: an oracle independent of the route that found it."""
     targets = frozenset(targets)
     ta = instantiate(pta, witness.valuation)
     if prop in ("EF", "EFU"):

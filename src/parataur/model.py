@@ -403,6 +403,25 @@ def parse_model(text: str | bytes) -> Pta:
                bounds=tuple(bounds) if any(bounded_flags) else None)
 
 
+def _automaton_doc(automaton: Pta | Ta) -> dict:
+    """The name, clocks, locations and edges shared by both model formats."""
+    return {
+        "name": automaton.name,
+        "clocks": list(automaton.clocks),
+        "locations": [
+            {"name": loc.name, "invariant": [render_atom(a) for a in loc.invariant]}
+            for loc in automaton.locations
+        ],
+        "init": automaton.init,
+        "edges": [
+            {"from": e.source, "to": e.target, "action": e.action,
+             "guard": [render_atom(a) for a in e.guard],
+             "resets": sorted(e.resets)}
+            for e in automaton.edges
+        ],
+    }
+
+
 def serialize(pta: Pta) -> str:
     bounds = pta.bounds_map() or {}
     params = []
@@ -417,42 +436,12 @@ def serialize(pta: Pta) -> str:
             if iv.sup_open:
                 entry["max_open"] = True
         params.append(entry)
-    doc = {
-        "name": pta.name,
-        "clocks": list(pta.clocks),
-        "parameters": params,
-        "locations": [
-            {"name": loc.name, "invariant": [render_atom(a) for a in loc.invariant]}
-            for loc in pta.locations
-        ],
-        "init": pta.init,
-        "edges": [
-            {"from": e.source, "to": e.target, "action": e.action,
-             "guard": [render_atom(a) for a in e.guard],
-             "resets": sorted(e.resets)}
-            for e in pta.edges
-        ],
-    }
+    doc = {**_automaton_doc(pta), "parameters": params}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def serialize_ta(ta: Ta) -> str:
-    doc = {
-        "name": ta.name,
-        "scale": ta.scale,
-        "clocks": list(ta.clocks),
-        "locations": [
-            {"name": loc.name, "invariant": [render_atom(a) for a in loc.invariant]}
-            for loc in ta.locations
-        ],
-        "init": ta.init,
-        "edges": [
-            {"from": e.source, "to": e.target, "action": e.action,
-             "guard": [render_atom(a) for a in e.guard],
-             "resets": sorted(e.resets)}
-            for e in ta.edges
-        ],
-    }
+    doc = {**_automaton_doc(ta), "scale": ta.scale}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

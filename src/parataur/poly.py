@@ -637,27 +637,26 @@ def has_integer_point(c: Polyhedron, bounds: Mapping[str, Interval]) -> bool:
     ranges = [bounds[p].integers() for p in c.params]
     for combo in itertools.product(*ranges):
         valuation = dict(zip(c.params, (Fraction(v) for v in combo)))
-        folded = []
-        feasible = True
-        for i in c.ineqs:
-            coeffs = {}
-            const = i.constant
-            for name, cf in i.coeffs:
-                if name in valuation:
-                    const += cf * valuation[name]
-                else:
-                    coeffs[name] = cf
-            folded_i = lin(coeffs, const, i.strict)
-            if folded_i.trivially_false:
-                feasible = False
-                break
-            if not folded_i.trivially_true:
-                folded.append(folded_i)
-        if not feasible:
+        folded = _fixed(c.ineqs, valuation)
+        if any(i.trivially_false for i in folded):
             continue
         if _clock_system_has_integer_point(c.clocks, folded):
             return True
     return False
+
+
+def _fixed(ineqs: Iterable[LinIneq], values: Mapping[str, Fraction]) -> list[LinIneq]:
+    """The inequalities with some variables fixed, less the trivially true."""
+    out = []
+    for i in ineqs:
+        if any(name in values for name, _ in i.coeffs):
+            const = i.constant + sum(cf * values[name] for name, cf in i.coeffs
+                                     if name in values)
+            i = lin({name: cf for name, cf in i.coeffs if name not in values},
+                    const, i.strict)
+        if not i.trivially_true:
+            out.append(i)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -704,14 +703,7 @@ def sample_point(c: Polyhedron, t: Fraction = Fraction(1, 2)) -> dict[str, Fract
         else:
             value = lo[0] + t * (hi[0] - lo[0])
         point[v] = value
-        folded = []
-        for i in work:
-            cf = i.coeff(v)
-            if cf == 0:
-                folded.append(i)
-                continue
-            coeffs = {n: c2 for n, c2 in i.coeffs if n != v}
-            folded.append(lin(coeffs, i.constant + cf * value, i.strict))
-        work = [i for i in folded if not i.trivially_true]
-    assert contains(c, point)
+        work = _fixed(work, {v: value})
+    if not contains(c, point):
+        raise InternalError(f"sample point {point} lies outside its polyhedron")
     return point

@@ -124,21 +124,20 @@ def explore(pta: Pta, budget: Budget = Budget(),
         out_edges.setdefault(e.source, []).append((edge_id, e))
 
     def subsumer(state: SymbolicState) -> int | None:
-        candidates = by_location.get(state.location, ())
-        if not candidates:
-            return None
         # Stored states are minimized and nonempty, so matched faces often
-        # settle inclusion without the solver.  A sample of the new state
-        # prunes most of the remaining candidates before the exact check.
-        probe = poly.sample_point(state.constraint)
-        for idx in candidates:
+        # settle inclusion without the solver.  A sample of the new state,
+        # taken once a candidate needs it, prunes most of the rest.
+        probe = None
+        for idx in by_location.get(state.location, ()):
             other = result.states[idx].constraint
             quick = poly.quick_inclusion(other, state.constraint)
             if quick is not None:
                 if quick:
                     return idx
                 continue
-            if probe is not None and not poly.contains(other, probe):
+            if probe is None:
+                probe = poly.sample_point(state.constraint)
+            if not poly.contains(other, probe):
                 continue
             if poly.includes(other, state.constraint):
                 return idx

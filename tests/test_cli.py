@@ -4,11 +4,12 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-from parataur import cli
-from parataur.model import serialize
+from parataur import cli, regions, symbolic
+from parataur.model import Interval, serialize
 from conftest import build, edge_xp, loop_xy
 from parataur.model import atom, eq_atoms
 
@@ -73,6 +74,68 @@ def test_check_ef_nonempty_with_witness(tmp_path, capsys):
     assert "/" in doc["witness"]["valuation"]["p"] or \
         doc["witness"]["valuation"]["p"].isdigit()
     assert doc["witness"]["path"]
+
+
+@pytest.mark.parametrize("prop, targets, edge", [
+    ("EF", ["--targets", "l1"],
+     ("l0", "l1", (atom("x", ">=", constant=1), atom("x", "<=", ("q",))), ())),
+    ("EC", [], ("l0", "l0", (atom("x", "<=", ("q",)),), ("x",))),
+])
+def test_nonempty_lu_verdict_builds_one_region_graph(tmp_path, capsys, monkeypatch,
+                                                     prop, targets, edge):
+    pta = build(clocks=("x",), params=("q",), locs=(("l0", ()), ("l1", ())),
+                edges=(edge,), bounds=(("q", Interval(0, 2)),))
+    built = []
+    original = regions.build_region_graph
+
+    def counting(ta):
+        built.append(ta)
+        return original(ta)
+
+    monkeypatch.setattr(regions, "build_region_graph", counting)
+    code, out, _ = run(capsys, "check", model_file(tmp_path, pta),
+                       "--prop", prop, *targets)
+    assert code == 0
+    assert json.loads(out)["answer"] == "nonempty"
+    assert len(built) == 1
+
+
+def test_failed_witness_check_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    """The symbolic_semi route proves reachability on the projection, then
+    checks its sample on the region graph; that check is made to fail, in
+    process and under python -O, which strips assert statements."""
+    argv = ["check", model_file(tmp_path, edge_xp(2)), "--prop", "EF",
+            "--targets", "l1"]
+    project = symbolic.reach_project
+
+    def refuting_project(*args, **kwargs):
+        result = project(*args, **kwargs)
+        monkeypatch.setattr(regions, "reach_path", lambda ta, targets: None)
+        return result
+
+    monkeypatch.setattr(symbolic, "reach_project", refuting_project)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Internal:") and err.count("\n") == 1
+
+    script = textwrap.dedent(f"""
+        import sys
+        from parataur import cli, regions, symbolic
+        project = symbolic.reach_project
+
+        def refuting_project(*args, **kwargs):
+            result = project(*args, **kwargs)
+            regions.reach_path = lambda ta, targets: None
+            return result
+
+        symbolic.reach_project = refuting_project
+        sys.exit(cli.main({argv!r}))
+    """)
+    optimized = subprocess.run([sys.executable, "-O", "-c", script],
+                               capture_output=True, text=True)
+    assert (optimized.returncode, optimized.stdout) == (1, "")
+    assert optimized.stderr.startswith("error: Internal:")
+    assert optimized.stderr.count("\n") == 1
 
 
 def test_check_ef_unknown_exits_two(tmp_path, capsys):

@@ -319,6 +319,21 @@ def test_ip_budgeted_confirmation_completes():
     assert out.complete
 
 
+def test_ip_box_above_the_cap_fails_before_exploring(monkeypatch):
+    def no_exploration(*args, **kwargs):
+        raise AssertionError("explored a model whose integer box exceeds the cap")
+
+    monkeypatch.setattr(symbolic, "explore", no_exploration)
+    pta = build(clocks=("x",), params=("p", "q"),
+                locs=(("l0", ()), ("l1", ())),
+                edges=(("l0", "l1", eq_atoms("x", ("p", "q")), ()),),
+                bounds=(("p", Interval(0, 999)), ("q", Interval(0, 999))))
+    with pytest.raises(UnboundedError, match="1000000 valuations exceeds the budget cap"):
+        decide.ip_check(pta)
+    with pytest.raises(UnboundedError, match="3 valuations exceeds the budget cap"):
+        decide.ip_check(edge_xp(sup=2), symbolic.Budget(max_int_valuations=2))
+
+
 def test_ip_unbounded_without_certificate():
     pta = build(clocks=("x",), params=("p",),
                 locs=(("l0", ()), ("l1", ())),

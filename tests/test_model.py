@@ -2,6 +2,7 @@
 classification, instantiation and extreme valuations."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from parataur.model import (
     render_atom,
     serialize,
 )
-from conftest import build, edge_xp, loop_xy, open_unit, xp_selfloop
+from conftest import build, edge_xp, loop_xy, open_unit, random_lu_pta, xp_selfloop
 
 LOOP_JSON = json.dumps({
     "name": "loop_xy",
@@ -184,6 +185,12 @@ def test_extreme_valuation_bounded():
     pta = loop_xy()
     assert extreme_valuation(pta, "min_lower_max_upper") == {"p": Fraction(3)}
     assert extreme_valuation(pta, "max_lower_min_upper") == {"p": Fraction(0)}
+    # With finite extremes, decide checks witnesses on the instantiation at
+    # the extreme valuation in place of the extreme instantiation.
+    for model in [pta] + [random_lu_pta(random.Random(s)) for s in range(30)]:
+        for mode in ("min_lower_max_upper", "max_lower_min_upper"):
+            v = ParamValuation.of(extreme_valuation(model, mode))
+            assert instantiate_extreme(model, mode) == instantiate(model, v)
 
 
 def test_extreme_valuation_unbounded_upper_is_stripped():
