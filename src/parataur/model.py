@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
+    InternalError,
     MalformedBoundsError,
     ModelSyntaxError,
     NotLUError,
@@ -503,7 +504,8 @@ def _scale_guard(guard: Guard, v: ParamValuation, scale: int) -> Guard:
     for a in guard:
         value = Fraction(a.constant) + sum((v[p] for p in a.params), Fraction(0))
         scaled = value * scale
-        assert scaled.denominator == 1
+        if scaled.denominator != 1:
+            raise InternalError(f"scale {scale} leaves {scaled} in a guard")
         out.append(GuardAtom(a.clock, a.op, frozenset(), int(scaled)))
     return tuple(out)
 

@@ -1,11 +1,13 @@
 """Exact rational polyhedra with open/closed faces.
 
 Constraints are stored as normalized linear inequalities ``t + c (<|<=) 0``
-over named variables (clocks and parameters).  Every polyhedron materializes
-nonnegativity of all its variables, since clock and parameter valuations
-live in the nonnegative rationals.  All operations are exact; the only
-quantifier elimination used anywhere is Fourier-Motzkin, with the usual rule
-that a combined inequality is strict iff either parent is strict.
+over named variables (clocks and parameters), whose coefficients and
+constant are ``int``s of content 1.  Points, bounds and sample coordinates
+are ``Fraction``s.  Every polyhedron materializes nonnegativity of all its
+variables, since clock and parameter valuations live in the nonnegative
+rationals.  All operations are exact; the only quantifier elimination used
+anywhere is Fourier-Motzkin, with the usual rule that a combined inequality
+is strict iff either parent is strict.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ _ELAPSE_VAR = "__d"
 class LinIneq:
     """Normalized inequality: sum(coeff * var) + constant 'op' 0.
 
-    Coefficients are kept with integer content 1 (multiplied through by the
-    unique positive rational achieving that), so syntactically equal
-    constraints compare equal.  A constant-only inequality keeps just the
-    sign of its constant.
+    Coefficients and constant are ``int``s with content 1 (divided by their
+    gcd), so syntactically equal constraints compare equal.  A constant-only
+    inequality keeps just the sign of its constant.
     """
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    constant: Fraction
+    coeffs: tuple[tuple[str, int], ...]
+    constant: int
     strict: bool
 
     @property
@@ -47,19 +48,19 @@ class LinIneq:
         return not self.coeffs and (
             self.constant > 0 or (self.constant == 0 and self.strict))
 
-    def coeff(self, var: str) -> Fraction:
+    def coeff(self, var: str) -> int:
         for name, c in self.coeffs:
             if name == var:
                 return c
-        return Fraction(0)
+        return 0
 
     def evaluate(self, point: Mapping[str, Fraction]) -> bool:
-        total = self.constant + sum(
-            (c * point[name] for name, c in self.coeffs), Fraction(0))
+        total = self.constant + sum(c * point[name] for name, c in self.coeffs)
         return total < 0 or (total == 0 and not self.strict)
 
     def negated(self) -> "LinIneq":
-        return lin({n: -c for n, c in self.coeffs}, -self.constant, not self.strict)
+        return LinIneq(tuple((n, -c) for n, c in self.coeffs), -self.constant,
+                       not self.strict)
 
     def render(self) -> str:
         parts = [f"{c}·{name}" for name, c in self.coeffs]
@@ -68,21 +69,12 @@ class LinIneq:
         return f"{' + '.join(parts)} {op} 0"
 
 
-def lin(coeffs: Mapping[str, Fraction | int], constant: Fraction | int,
-        strict: bool) -> LinIneq:
-    items = sorted((n, Fraction(c)) for n, c in coeffs.items() if c != 0)
-    constant = Fraction(constant)
+def lin(coeffs: Mapping[str, int], constant: int, strict: bool) -> LinIneq:
+    items = sorted((n, c) for n, c in coeffs.items() if c != 0)
     if not items:
-        sign = Fraction(0) if constant == 0 else Fraction(1 if constant > 0 else -1)
-        return LinIneq((), sign, strict)
-    nums = [abs(c.numerator) for _, c in items]
-    dens = [c.denominator for _, c in items]
-    if constant != 0:
-        nums.append(abs(constant.numerator))
-        dens.append(constant.denominator)
-    factor = Fraction(math.lcm(*dens), math.gcd(*nums))
-    return LinIneq(tuple((n, c * factor) for n, c in items),
-                   constant * factor, strict)
+        return LinIneq((), (constant > 0) - (constant < 0), strict)
+    g = math.gcd(constant, *(c for _, c in items))
+    return LinIneq(tuple((n, c // g) for n, c in items), constant // g, strict)
 
 
 def atom_to_ineq(a: GuardAtom) -> LinIneq:
@@ -114,6 +106,9 @@ class Polyhedron:
         return "{" + ", ".join(self.debug_strings()) + "}"
 
 
+_SORT_KEY = lambda i: (i.coeffs, i.constant, i.strict)  # noqa: E731
+
+
 def _dominance_prune(ineqs: Iterable[LinIneq]) -> tuple[LinIneq, ...]:
     """Keep only the tightest inequality per coefficient vector."""
     best: dict[tuple, LinIneq] = {}
@@ -123,8 +118,7 @@ def _dominance_prune(ineqs: Iterable[LinIneq]) -> tuple[LinIneq, ...]:
         cur = best.get(i.coeffs)
         if cur is None or (i.constant, i.strict) > (cur.constant, cur.strict):
             best[i.coeffs] = i
-    return tuple(sorted(best.values(),
-                        key=lambda i: (i.coeffs, i.constant, i.strict)))
+    return tuple(sorted(best.values(), key=_SORT_KEY))
 
 
 def make(clocks: Iterable[str], params: Iterable[str],
@@ -133,10 +127,6 @@ def make(clocks: Iterable[str], params: Iterable[str],
     params = tuple(params)
     base = [lin({v: -1}, 0, False) for v in clocks + params]
     return Polyhedron(clocks, params, _dominance_prune(base + list(ineqs)))
-
-
-def top(clocks: Iterable[str], params: Iterable[str]) -> Polyhedron:
-    return make(clocks, params, ())
 
 
 def origin(clocks: Iterable[str], params: Iterable[str]) -> Polyhedron:
@@ -176,13 +166,13 @@ def _eliminate(ineqs: Iterable[LinIneq], var: str) -> list[LinIneq]:
             rest.append(i)
     for a, b in itertools.product(pos, neg):
         ca, cb = a.coeff(var), b.coeff(var)
-        coeffs: dict[str, Fraction] = {}
+        coeffs: dict[str, int] = {}
         for name, c in a.coeffs:
             if name != var:
-                coeffs[name] = coeffs.get(name, Fraction(0)) + (-cb) * c
+                coeffs[name] = coeffs.get(name, 0) + (-cb) * c
         for name, c in b.coeffs:
             if name != var:
-                coeffs[name] = coeffs.get(name, Fraction(0)) + ca * c
+                coeffs[name] = coeffs.get(name, 0) + ca * c
         combined = lin(coeffs, (-cb) * a.constant + ca * b.constant,
                        a.strict or b.strict)
         if not combined.trivially_true:
@@ -306,15 +296,14 @@ def _satisfiable(ineqs: tuple[LinIneq, ...]) -> bool:
             return False
         if i.trivially_true:
             continue
-        # lin() scales every inequality to integer content 1.
         row = [0] * (len(names) + 1)
         for name, c in i.coeffs:
-            row[col[name]] = c.numerator
+            row[col[name]] = c
         if i.strict:
             has_strict = True
             row[len(names)] = 1
         rows.append(row)
-        rhs.append(-i.constant.numerator)
+        rhs.append(-i.constant)
     if not rows:
         return True
     if not has_strict:
@@ -332,7 +321,6 @@ def _ineqs_empty(ineqs: tuple[LinIneq, ...]) -> bool:
     return not _satisfiable(ineqs)
 
 
-_SORT_KEY = lambda i: (i.coeffs, i.constant, i.strict)  # noqa: E731
 _FALSE = lin({}, 1, False)
 _REDUCE_ABOVE = 18
 
@@ -378,7 +366,8 @@ def eliminate_vars(c: Polyhedron, names: Iterable[str]) -> list[LinIneq]:
 
 
 def intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    assert a.vars == b.vars, "universe mismatch"
+    if a.vars != b.vars:
+        raise InternalError("universe mismatch")
     return make(a.clocks, a.params, a.ineqs + b.ineqs)
 
 
@@ -393,7 +382,7 @@ def _shift(c: Polyhedron, direction: int) -> Polyhedron:
     clockset = set(c.clocks)
     shifted = []
     for i in make(c.clocks, c.params, c.ineqs).ineqs:
-        cd = sum((cf for name, cf in i.coeffs if name in clockset), Fraction(0))
+        cd = sum(cf for name, cf in i.coeffs if name in clockset)
         cd = direction * cd
         if cd == 0:
             shifted.append(i)
@@ -453,12 +442,12 @@ def contains(c: Polyhedron, point: Mapping[str, Fraction]) -> bool:
 
 def includes(outer: Polyhedron, inner: Polyhedron) -> bool:
     """inner is a subset of outer (both may have open faces)."""
-    assert outer.vars == inner.vars, "universe mismatch"
+    if outer.vars != inner.vars:
+        raise InternalError("universe mismatch")
     if _ineqs_empty(inner.ineqs):
         return True
     for i in outer.ineqs:
-        system = tuple(sorted(set(inner.ineqs) | {i.negated()},
-                              key=lambda q: (q.coeffs, q.constant, q.strict)))
+        system = tuple(sorted(set(inner.ineqs) | {i.negated()}, key=_SORT_KEY))
         if not _ineqs_empty(system):
             return False
     return True
@@ -509,7 +498,8 @@ def union_of(pieces: Iterable[Polyhedron]) -> PolyUnion:
 
 def difference(c: Polyhedron, d: Polyhedron) -> PolyUnion:
     """c minus d, as a union of polyhedra (one per violated face of d)."""
-    assert c.vars == d.vars, "universe mismatch"
+    if c.vars != d.vars:
+        raise InternalError("universe mismatch")
     pieces = []
     for i in d.ineqs:
         piece = make(c.clocks, c.params, c.ineqs + (i.negated(),))
@@ -540,7 +530,7 @@ def zone_violation(c: Polyhedron) -> str | None:
             if abs(cc[0][1]) != 1:
                 return f"non-unit clock coefficient in {i.render()}"
         elif len(cc) == 2:
-            if {cc[0][1], cc[1][1]} != {Fraction(1), Fraction(-1)}:
+            if {cc[0][1], cc[1][1]} != {1, -1}:
                 return f"non-difference clock pair in {i.render()}"
         else:
             return f"more than two clocks in {i.render()}"
@@ -575,7 +565,7 @@ def _dbm_canonical(n: int, dbm: list[list]) -> bool:
                 if _bound_less(cand, dbm[i][j]):
                     dbm[i][j] = cand
         for i in range(n):
-            if _bound_less(dbm[i][i], (Fraction(0), False)):
+            if _bound_less(dbm[i][i], (0, False)):
                 return False
     return True
 
@@ -586,9 +576,9 @@ def _clock_system_has_integer_point(clocks: tuple[str, ...],
     n = len(clocks) + 1
     dbm: list[list] = [[_INF] * n for _ in range(n)]
     for i in range(n):
-        dbm[i][i] = (Fraction(0), False)
+        dbm[i][i] = (0, False)
     for k in range(1, n):
-        dbm[0][k] = (Fraction(0), False)
+        dbm[0][k] = (0, False)
 
     def update(i: int, j: int, bound):
         if _bound_less(bound, dbm[i][j]):
@@ -597,20 +587,11 @@ def _clock_system_has_integer_point(clocks: tuple[str, ...],
     for i in ineqs:
         if i.trivially_false:
             return False
-        if not i.coeffs:
-            continue
-        if len(i.coeffs) == 1:
-            (x, a), = i.coeffs
-            if a > 0:
-                update(index[x], 0, (-i.constant / a, i.strict))
-            else:
-                update(0, index[x], (i.constant / -a, i.strict))
-        else:
-            (x, a), (y, b) = i.coeffs
-            if a > 0:
-                update(index[x], index[y], (-i.constant, i.strict))
-            else:
-                update(index[y], index[x], (-i.constant, i.strict))
+        # A zone row with integer parameters fixed reads x - y + c (<|<=) 0,
+        # its clock coefficients +1 and -1; index 0 stands for a missing one.
+        ends = {a: index[x] for x, a in i.coeffs}
+        if ends:
+            update(ends.get(1, 0), ends.get(-1, 0), (-i.constant, i.strict))
     if not _dbm_canonical(n, dbm):
         return False
     for i in range(n):
@@ -619,7 +600,7 @@ def _clock_system_has_integer_point(clocks: tuple[str, ...],
                 continue
             value, strict = dbm[i][j]
             tightened = math.ceil(value) - 1 if strict else math.floor(value)
-            dbm[i][j] = (Fraction(tightened), False)
+            dbm[i][j] = (tightened, False)
     return _dbm_canonical(n, dbm)
 
 
@@ -636,8 +617,7 @@ def has_integer_point(c: Polyhedron, bounds: Mapping[str, Interval]) -> bool:
         return False
     ranges = [bounds[p].integers() for p in c.params]
     for combo in itertools.product(*ranges):
-        valuation = dict(zip(c.params, (Fraction(v) for v in combo)))
-        folded = _fixed(c.ineqs, valuation)
+        folded = _fixed(c.ineqs, dict(zip(c.params, combo)))
         if any(i.trivially_false for i in folded):
             continue
         if _clock_system_has_integer_point(c.clocks, folded):
@@ -645,15 +625,19 @@ def has_integer_point(c: Polyhedron, bounds: Mapping[str, Interval]) -> bool:
     return False
 
 
-def _fixed(ineqs: Iterable[LinIneq], values: Mapping[str, Fraction]) -> list[LinIneq]:
-    """The inequalities with some variables fixed, less the trivially true."""
+def _fixed(ineqs: Iterable[LinIneq],
+           values: Mapping[str, Fraction | int]) -> list[LinIneq]:
+    """The inequalities with some variables fixed, less the trivially true.
+    The rational constant left by the substitution is cleared of its
+    denominator, which scales the row by a positive integer."""
     out = []
     for i in ineqs:
         if any(name in values for name, _ in i.coeffs):
             const = i.constant + sum(cf * values[name] for name, cf in i.coeffs
                                      if name in values)
-            i = lin({name: cf for name, cf in i.coeffs if name not in values},
-                    const, i.strict)
+            den = const.denominator
+            i = lin({name: cf * den for name, cf in i.coeffs
+                     if name not in values}, const.numerator, i.strict)
         if not i.trivially_true:
             out.append(i)
     return out
@@ -671,7 +655,7 @@ def _interval_of(ineqs: list[LinIneq], var: str):
         c = i.coeff(var)
         if c == 0:
             continue
-        value = -i.constant / c
+        value = Fraction(-i.constant, c)
         if c > 0:
             if hi is _INF or value < hi[0] or (value == hi[0] and i.strict):
                 hi = (value, i.strict)
@@ -681,13 +665,12 @@ def _interval_of(ineqs: list[LinIneq], var: str):
     return lo, hi
 
 
-def sample_point(c: Polyhedron, t: Fraction = Fraction(1, 2)) -> dict[str, Fraction] | None:
+def sample_point(c: Polyhedron) -> dict[str, Fraction] | None:
     """A rational point of c, or None when empty.  Each coordinate sits at
-    position t of its feasible interval (lower bound + 1 when unbounded
+    the midpoint of its feasible interval (lower bound + 1 when unbounded
     above; the boundary when the interval is a single point)."""
     if is_empty(c):
         return None
-    assert 0 < t < 1
     point: dict[str, Fraction] = {}
     work = list(make(c.clocks, c.params, c.ineqs).ineqs)
     order = list(c.vars)
@@ -701,7 +684,7 @@ def sample_point(c: Polyhedron, t: Fraction = Fraction(1, 2)) -> dict[str, Fract
         elif lo[0] == hi[0]:
             value = lo[0]
         else:
-            value = lo[0] + t * (hi[0] - lo[0])
+            value = (lo[0] + hi[0]) / 2
         point[v] = value
         work = _fixed(work, {v: value})
     if not contains(c, point):

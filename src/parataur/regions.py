@@ -8,10 +8,10 @@ which is exact because the per-clock maximal constants refine every atom.
 
 Queries answered on the graph: location reachability (with a discrete-edge
 witness), existence of a reachable cycle with at least one discrete edge,
-existence of a reachable deadlocked region (no discrete edge from it or any
-delay descendant), and inevitability of a target set.  A finite run is
-maximal iff no discrete extension exists, possibly after a delay; time
-divergence is not part of the criterion.
+and existence of a reachable deadlocked region (no discrete edge from it or
+any delay descendant).  A finite run is maximal iff no discrete extension
+exists, possibly after a delay; time divergence is not part of the
+criterion.
 """
 
 from __future__ import annotations
@@ -324,20 +324,3 @@ def deadlock_within(ta: Ta, within: Iterable[str]) -> bool:
     graph = build_region_graph(ta)
     seen, _ = graph.reachable(frozenset(within))
     return any(not graph.can_fire(i) for i in seen)
-
-
-def ta_af(ta: Ta, targets: Iterable[str]) -> bool:
-    """Every maximal run visits the target set.  Checked on the region graph
-    with target regions absorbing: no avoiding lasso and no avoiding
-    deadlocked region may exist."""
-    targets = frozenset(targets)
-    graph = build_region_graph(ta)
-    if graph.initial is None:
-        return True
-    if graph.nodes[graph.initial][0] in targets:
-        return True
-    avoiding = frozenset(loc.name for loc in ta.locations) - targets
-    seen, _ = graph.reachable(avoiding)
-    if any(not graph.can_fire(i) for i in seen):
-        return False
-    return not _has_discrete_lasso(graph, seen)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import poly
-from .errors import EmptyInitialError, ZoneShapeError
+from .errors import EmptyInitialError, InternalError, ZoneShapeError
 from .model import Edge, Pta
 
 COMPLETE = "complete"
@@ -84,7 +84,9 @@ def initial_state(pta: Pta) -> SymbolicState:
 def succ(pta: Pta, state: SymbolicState, edge: Edge) -> SymbolicState | None:
     """Successor through one edge, or None when infeasible.  The target
     invariant is intersected both before and after time elapse."""
-    assert edge.source == state.location
+    if edge.source != state.location:
+        raise InternalError(
+            f"edge from {edge.source!r} applied at {state.location!r}")
     inv = pta.invariant(edge.target)
     c = poly.conjoin_guard(state.constraint, edge.guard)
     if poly.is_empty(c):

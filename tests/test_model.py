@@ -3,11 +3,15 @@ classification, instantiation and extreme valuations."""
 
 import json
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from parataur.errors import (
+    InternalError,
     MalformedBoundsError,
     ModelSyntaxError,
     NotLUError,
@@ -18,6 +22,7 @@ from parataur.errors import (
 from parataur.model import (
     Interval,
     ParamValuation,
+    _scale_guard,
     atom,
     classify,
     eq_atoms,
@@ -174,6 +179,29 @@ def test_instantiate_rational_valuation_scales():
     assert ta.scale == 2
     (edge,) = ta.edges
     assert sorted((a.op, a.constant) for a in edge.guard) == [("<=", 1), (">=", 1)]
+
+
+def test_scale_guard_rejects_a_scale_that_leaves_a_fraction():
+    """Scale 1 cannot clear p = 1/2; the check raises, in process and under
+    python -O, which strips assert statements."""
+    guard = (atom("x", "<=", ("p",)),)
+    half = ParamValuation.of({"p": Fraction(1, 2)})
+    with pytest.raises(InternalError):
+        _scale_guard(guard, half, 1)
+
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from parataur.errors import InternalError
+        from parataur.model import ParamValuation, _scale_guard, atom
+        try:
+            _scale_guard((atom("x", "<=", ("p",)),),
+                         ParamValuation.of({"p": Fraction(1, 2)}), 1)
+        except InternalError:
+            raise SystemExit(3)
+    """)
+    optimized = subprocess.run([sys.executable, "-O", "-c", script],
+                               capture_output=True, text=True)
+    assert optimized.returncode == 3, optimized.stderr
 
 
 def test_instantiate_requires_full_domain():

@@ -36,7 +36,7 @@ def test_intersect_overlapping_intervals():
 
 def test_intersect_with_top_is_identity():
     c = zone(XY, P, atom("x", "<=", ("p",)))
-    assert poly.equal(poly.intersect(c, poly.top(XY, P)), c)
+    assert poly.equal(poly.intersect(c, poly.make(XY, P, ())), c)
 
 
 def test_intersect_disjoint_reported_empty():
@@ -65,7 +65,7 @@ def test_elapse_preserves_differences():
 
 def test_elapse_drops_upper_bounds():
     out = poly.time_elapse(zone(X, (), atom("x", "<=", constant=1)))
-    assert poly.equal(out, poly.top(X, ()))
+    assert poly.equal(out, poly.make(X, (), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_reset_eliminates_diagonal():
 
 def test_unreset_upper_constant_becomes_true():
     out = poly.unreset_invariant((atom("x", "<=", constant=2),), ("x",), X, ())
-    assert poly.equal(out, poly.top(X, ()))
+    assert poly.equal(out, poly.make(X, (), ()))
 
 
 def test_unreset_without_resets_is_identity():
@@ -317,6 +317,19 @@ def test_strict_bounds_tighten_to_inner_integer():
     assert poly.has_integer_point(c, {})
 
 
+def test_integer_point_needs_more_than_a_positive_lower_bound():
+    # 2x > 2 and 2x < 4 normalize to 1 < x < 2, which holds no integer.
+    gap = poly.make(X, (), [poly.lin({"x": -2}, 2, True),
+                            poly.lin({"x": 2}, -4, True)])
+    assert not poly.has_integer_point(gap, {})
+    shifted = zone(X, (), atom("x", ">=", constant=1), atom("x", "<", constant=2))
+    assert poly.has_integer_point(shifted, {})
+    # 2p >= 3 and 2p <= 5 keep their non-unit coefficient and hold p = 2.
+    box = poly.make(X, P, [poly.lin({"p": -2}, 3, False),
+                           poly.lin({"p": 2}, -5, False)])
+    assert poly.has_integer_point(box, {"p": Interval(0, 3)})
+
+
 def test_integer_point_rejects_non_zone():
     c = poly.make(XY, (), [poly.lin({"x": 1, "y": 1}, -1, False)])
     with pytest.raises(NotAZoneError):
@@ -369,6 +382,26 @@ def test_sample_point_open_and_unbounded_intervals():
                     atom("y", ">", constant=0), atom("y", "<", constant=1))
     point = poly.sample_point(open_box)
     assert point["x"] < 1 and 0 < point["y"] < 1
+
+
+def test_sample_point_is_exact_on_non_unit_rows():
+    # 2x <= 3 and 3x > 1 put x midway in (1/3, 3/2]; then 2x - 3p < 0
+    # leaves p > 11/18, unbounded above.
+    c = poly.make(X, P, [poly.lin({"x": 2}, -3, False),
+                         poly.lin({"x": -3}, 1, True),
+                         poly.lin({"x": 2, "p": -3}, 0, True)])
+    point = poly.sample_point(c)
+    assert point == {"x": Fraction(11, 12), "p": Fraction(29, 18)}
+    assert all(type(v) is Fraction for v in point.values())
+
+
+def test_lin_keeps_integer_rows_of_content_one():
+    row = poly.lin({"x": 4, "y": -6}, 2, True)
+    assert (row.coeffs, row.constant) == ((("x", 2), ("y", -3)), 1)
+    assert all(type(c) is int for _, c in row.coeffs)
+    assert type(row.constant) is int
+    with pytest.raises(TypeError):
+        poly.lin({"x": 1}, Fraction(1, 2), False)
 
 
 def test_sample_point_of_empty_is_none():

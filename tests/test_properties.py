@@ -11,7 +11,14 @@ import random
 from fractions import Fraction
 
 from parataur import decide, poly, regions, symbolic
-from parataur.model import ParamValuation, classify, instantiate, parse_model, serialize
+from parataur.model import (
+    Interval,
+    ParamValuation,
+    classify,
+    instantiate,
+    parse_model,
+    serialize,
+)
 from parataur.symbolic import Budget
 from conftest import (
     _GUARD_OPS,
@@ -83,10 +90,11 @@ def test_emptiness_agrees_with_grid_and_sampling():
 def substitute_params(c, valuation):
     rows = []
     for i in c.ineqs:
-        coeffs = {n: cf for n, cf in i.coeffs if n in c.clocks}
         const = i.constant + sum((cf * valuation[n] for n, cf in i.coeffs
                                   if n in c.params), Fraction(0))
-        rows.append(poly.lin(coeffs, const, i.strict))
+        den = const.denominator
+        coeffs = {n: cf * den for n, cf in i.coeffs if n in c.clocks}
+        rows.append(poly.lin(coeffs, const.numerator, i.strict))
     return poly.make(c.clocks, (), rows)
 
 
@@ -137,6 +145,30 @@ def test_zone_operator_laws():
         assert poly.equal(poly.intersect(c, c), c)
         assert poly.zone_violation(up) is None
         assert poly.zone_violation(r) is None
+
+
+def test_integer_points_agree_with_the_grid():
+    # Atom constants and parameters are at most 3, so every bound of a zone
+    # is at most 7 in size (after tightening a strict one), and the least
+    # integer point of a zone, if there is one, has coordinates at most 14.
+    rng = random.Random(SEED + 6)
+    bounds = {"p": Interval(0, 3)}
+    without = 0
+    for _ in range(120):
+        clocks = ("x", "y")[: rng.randint(1, 2)]
+        params = ("p",)[: rng.randint(0, 1)]
+        guard = ()
+        for _ in range(rng.randint(2, 4)):
+            guard += _random_atoms(rng, clocks, params, ("<", "<=", ">", ">="))
+        c = poly.from_guard(clocks, params, guard)
+        if rng.random() < 0.5:
+            c = poly.time_elapse(c)
+        ranges = [range(15)] * len(c.clocks) + [range(4)] * len(c.params)
+        expected = any(poly.contains(c, dict(zip(c.vars, pt)))
+                       for pt in itertools.product(*ranges))
+        assert poly.has_integer_point(c, bounds) == expected, str(c)
+        without += not expected and not poly.is_empty(c)
+    assert without >= 3
 
 
 def test_difference_is_exact_on_the_grid():

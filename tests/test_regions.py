@@ -96,33 +96,9 @@ def test_deadlock_within_restricts_the_path():
     assert regions.deadlock_within(inst(pta), {"l0", "l1"})
 
 
-def test_af_initial_location_in_targets():
-    assert regions.ta_af(inst(build()), {"l0"})
-
-
-def test_af_forced_by_invariant_bound():
-    pta = build(locs=(("l0", (atom("x", "<=", constant=1),)), ("l1", ())),
-                edges=(("l0", "l1", (eq_atoms("x", constant=1)), ()),))
-    assert regions.ta_af(inst(pta), {"l1"})
-
-
-def test_af_fails_with_avoiding_self_loop():
-    pta = build(locs=(("l0", ()), ("l1", ())),
-                edges=(("l0", "l0", (), ()), ("l0", "l1", (), ())))
-    assert not regions.ta_af(inst(pta), {"l1"})
-
-
-def test_af_fails_with_avoiding_deadlock():
-    pta = build(locs=(("l0", ()), ("l1", ()), ("dead", ())),
-                edges=(("l0", "l1", (), ()),
-                       ("l0", "dead", (atom("x", ">=", constant=1),), ())))
-    assert not regions.ta_af(inst(pta), {"l1"})
-
-
 def test_lasso_consistency_with_af():
-    # Without any cycle, AF reduces to deadlock avoidance.
+    # No region cycle is reachable, so every run ends in a deadlock.
     ta = inst(loop_xy(sup=3), p=2)
     all_locs = [loc.name for loc in ta.locations]
     assert not regions.ta_lasso(ta, all_locs)
     assert regions.ta_deadlock(ta)
-    assert not regions.ta_af(ta, set())
