@@ -10,6 +10,7 @@ as "num/den" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -257,14 +258,13 @@ def _cmd_instantiate(args) -> int:
     else:
         raise UnknownIdentifierError("need --values or --extreme")
     if args.dump_regions:
-        graph = regions.build_region_graph(ta)
-        seen, _ = graph.reachable(frozenset(loc.name for loc in ta.locations))
+        count, initial = regions.enumeration_size(ta)
         _emit({
             "ta": json.loads(serialize_ta(ta)),
             "regions": {
-                "count": len(graph.nodes),
-                "reachable": len(seen),
-                "initial": graph.initial,
+                "count": count,
+                "reachable": len(regions.build_region_graph(ta).nodes),
+                "initial": initial,
             },
         }, args)
     else:
@@ -300,8 +300,6 @@ def _add_common(p: argparse.ArgumentParser, model: bool = True):
         p.add_argument("model", help="model file, or - for stdin")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--seed", type=int,
-                   default=(int(os.environ["PARATAUR_SEED"])
-                            if os.environ.get("PARATAUR_SEED") else None),
                    help="echoed in output for reproducibility")
 
 
@@ -310,7 +308,9 @@ def _add_budget(p: argparse.ArgumentParser):
     p.add_argument("--max-depth", type=int, default=Budget.max_depth)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = _Parser(prog="parataur",
                      description="exact analysis of parametric timed automata")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -371,9 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
+        env_seed = os.environ.get("PARATAUR_SEED")
+        if args.seed is None and env_seed:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                parser.error(f"PARATAUR_SEED: invalid int value: {env_seed!r}")
         return args.func(args)
     except ParataurError as ex:
         where = f" ({ex.where})" if getattr(ex, "where", None) else ""

@@ -6,6 +6,11 @@ ordering of the fractional parts of the non-above clocks (including which
 are exactly integer).  Guards are evaluated "holds throughout the region",
 which is exact because the per-clock maximal constants refine every atom.
 
+The graph is built forward from the initial region, so it holds only the
+regions reachable from it, numbered in discovery order.  A reachability
+witness leads to the target region that comes first in enumeration order:
+location order, then the order of ``_enumerate_shapes``.
+
 Queries answered on the graph: location reachability (with a discrete-edge
 witness), existence of a reachable cycle with at least one discrete edge,
 and existence of a reachable deadlocked region (no discrete edge from it or
@@ -114,21 +119,39 @@ def _enumerate_shapes(maxc: Sequence[int]) -> list[tuple[Ints, Fracs]]:
     return shapes
 
 
+def _partition_code(classes: Fracs) -> tuple[int, ...]:
+    """Sort key of an ordered partition in ``_ordered_partitions`` order,
+    which puts the least item into each partition of the rest in turn."""
+    part = [set(c) for c in classes]
+    code = []
+    for first in sorted(i for c in classes for i in c):
+        k = next(k for k, c in enumerate(part) if first in c)
+        if len(part[k]) == 1:
+            del part[k]
+            code.append(len(part) + k)
+        else:
+            part[k].discard(first)
+            code.append(k)
+    return tuple(reversed(code))
+
+
+def _shape_rank(maxc: Sequence[int], ints: Ints, fracs: Fracs) -> tuple:
+    """Sort key equal to the position of a shape in
+    ``_enumerate_shapes(maxc)``, computed without enumerating."""
+    extra = tuple(i for i in fracs[0] if ints[i] != maxc[i])
+    return (tuple(-1 if v is None else v for v in ints), len(extra), extra,
+            _partition_code(fracs[1:]))
+
+
 @dataclass
 class RegionGraph:
     ta: Ta
     max_constants: tuple[int, ...]
     nodes: list[tuple[str, Ints, Fracs]]
-    index: dict[tuple[str, Ints, Fracs], int]
     delay: dict[int, int]
-    discrete: list[tuple[int, int, int]]
+    discrete_out: dict[int, list[tuple[int, int]]]
     initial: int | None
-    discrete_out: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     _can_fire: dict[int, bool] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for i, edge_id, j in self.discrete:
-            self.discrete_out.setdefault(i, []).append((edge_id, j))
 
     def successors(self, i: int) -> Iterator[tuple[int | None, int]]:
         """(edge id or None for delay, target node)."""
@@ -176,47 +199,67 @@ class RegionGraph:
 
 
 def build_region_graph(ta: Ta) -> RegionGraph:
+    """Breadth-first from the initial region: each node adds its delay
+    successor, then its discrete successors in edge-id order."""
     maxc = _max_constants(ta)
     index_of_clock = {x: k for k, x in enumerate(ta.clocks)}
-    shapes = _enumerate_shapes(maxc)
+    invariant = {loc.name: loc.invariant for loc in ta.locations}
+    edges_from: dict[str, list] = {}
+    for edge_id, e in enumerate(ta.edges):
+        resets = frozenset(index_of_clock[x] for x in e.resets)
+        edges_from.setdefault(e.source, []).append((edge_id, e, resets))
 
     nodes: list[tuple[str, Ints, Fracs]] = []
     index: dict[tuple[str, Ints, Fracs], int] = {}
+
+    def node(key: tuple[str, Ints, Fracs]) -> int | None:
+        j = index.get(key)
+        if j is None and _guard_holds(invariant[key[0]], index_of_clock,
+                                      key[1], frozenset(key[2][0])):
+            j = index[key] = len(nodes)
+            nodes.append(key)
+        return j
+
+    h = len(ta.clocks)
+    initial = node((ta.init, tuple([0] * h), (tuple(range(h)),)))
+    delay: dict[int, int] = {}
+    discrete_out: dict[int, list[tuple[int, int]]] = {}
+    i = 0
+    while i < len(nodes):
+        loc, ints, fracs = nodes[i]
+        nxt = _delay_successor(ints, fracs, maxc)
+        if nxt is not None:
+            j = node((loc, *nxt))
+            if j is not None:
+                delay[i] = j
+        zero_set = frozenset(fracs[0])
+        for edge_id, e, resets in edges_from.get(loc, ()):
+            if _guard_holds(e.guard, index_of_clock, ints, zero_set):
+                j = node((e.target, *_reset_region(ints, fracs, resets)))
+                if j is not None:
+                    discrete_out.setdefault(i, []).append((edge_id, j))
+        i += 1
+    return RegionGraph(ta, maxc, nodes, delay, discrete_out, initial)
+
+
+def enumeration_size(ta: Ta) -> tuple[int, int | None]:
+    """Number of regions of every location whose invariant holds throughout,
+    and the position of the initial region among them (None if absent), in
+    location order, then shape order."""
+    maxc = _max_constants(ta)
+    index_of_clock = {x: k for k, x in enumerate(ta.clocks)}
+    h = len(ta.clocks)
+    init = (ta.init, tuple([0] * h), (tuple(range(h)),))
+    shapes = _enumerate_shapes(maxc)
+    count, initial = 0, None
     for loc in ta.locations:
         for ints, fracs in shapes:
             if _guard_holds(loc.invariant, index_of_clock, ints,
                             frozenset(fracs[0])):
-                key = (loc.name, ints, fracs)
-                index[key] = len(nodes)
-                nodes.append(key)
-
-    delay: dict[int, int] = {}
-    for i, (loc, ints, fracs) in enumerate(nodes):
-        nxt = _delay_successor(ints, fracs, maxc)
-        if nxt is not None:
-            j = index.get((loc, nxt[0], nxt[1]))
-            if j is not None:
-                delay[i] = j
-
-    discrete: list[tuple[int, int, int]] = []
-    by_location: dict[str, list[int]] = {}
-    for i, (loc, _, _) in enumerate(nodes):
-        by_location.setdefault(loc, []).append(i)
-    for edge_id, e in enumerate(ta.edges):
-        resets = frozenset(index_of_clock[x] for x in e.resets)
-        for i in by_location.get(e.source, ()):
-            _, ints, fracs = nodes[i]
-            if not _guard_holds(e.guard, index_of_clock, ints, frozenset(fracs[0])):
-                continue
-            r_ints, r_fracs = _reset_region(ints, fracs, resets)
-            j = index.get((e.target, r_ints, r_fracs))
-            if j is not None:
-                discrete.append((i, edge_id, j))
-
-    h = len(ta.clocks)
-    init_key = (ta.init, tuple([0] * h), (tuple(range(h)),))
-    return RegionGraph(ta, maxc, nodes, index, delay, discrete,
-                       index.get(init_key))
+                if (loc.name, ints, fracs) == init:
+                    initial = count
+                count += 1
+    return count, initial
 
 
 def _scc_ids(nodes: set[int], succ_map: dict[int, list[int]]) -> dict[int, int]:
@@ -274,10 +317,8 @@ def _has_discrete_lasso(graph: RegionGraph, nodes: set[int]) -> bool:
     for i in nodes:
         succ_map[i] = [j for _, j in graph.successors(i) if j in nodes]
     comp = _scc_ids(nodes, succ_map)
-    for i, _, j in graph.discrete:
-        if i in nodes and j in nodes and comp[i] == comp[j]:
-            return True
-    return False
+    return any(j in nodes and comp[i] == comp[j]
+               for i in nodes for _, j in graph.discrete_out.get(i, ()))
 
 
 def ta_reach(ta: Ta, targets: Iterable[str]) -> bool:
@@ -289,13 +330,12 @@ def reach_path(ta: Ta, targets: Iterable[str]) -> list[int] | None:
     targets = frozenset(targets)
     graph = build_region_graph(ta)
     seen, parents = graph.reachable()
-    goal = None
-    for i in sorted(seen):
-        if graph.nodes[i][0] in targets:
-            goal = i
-            break
-    if goal is None:
+    order = {loc.name: k for k, loc in enumerate(ta.locations)}
+    hits = [i for i in seen if graph.nodes[i][0] in targets]
+    if not hits:
         return None
+    goal = min(hits, key=lambda i: (order[graph.nodes[i][0]], _shape_rank(
+        graph.max_constants, graph.nodes[i][1], graph.nodes[i][2])))
     path: list[int] = []
     cur = goal
     while cur in parents:

@@ -8,13 +8,14 @@ import textwrap
 
 import pytest
 
-from parataur import cli, regions, symbolic
+from parataur import cli, mcm, regions, symbolic
 from parataur.model import Interval, serialize
 from conftest import build, edge_xp, loop_xy
 from parataur.model import atom, eq_atoms
 
 INC_HALT = "q0: inc C1 -> q1\nq1: halt\n"
 SPIN = "q0: inc C1 -> q0\n"
+TWO_INC = "q0: inc C1 -> q1\nq1: inc C1 -> q2\nq2: halt\n"
 
 
 def run(capsys, *argv):
@@ -120,7 +121,7 @@ def test_failed_witness_check_exits_one_with_one_line(tmp_path, capsys, monkeypa
 
     script = textwrap.dedent(f"""
         import sys
-        from parataur import cli, regions, symbolic
+        from parataur import cli, mcm, regions, symbolic
         project = symbolic.reach_project
 
         def refuting_project(*args, **kwargs):
@@ -242,9 +243,14 @@ def test_instantiate_extreme_with_regions(tmp_path, capsys):
                        "--extreme", "min_lower_max_upper", "--dump-regions")
     assert code == 0
     doc = json.loads(out)
-    assert doc["regions"]["count"] > 0
-    assert 0 < doc["regions"]["reachable"] <= doc["regions"]["count"]
-    assert doc["regions"]["initial"] is not None
+    assert doc["regions"] == {"count": 38, "reachable": 17, "initial": 15}
+
+    machine = mcm.compile_to_pta(mcm.parse_machine(TWO_INC))
+    code, out, _ = run(capsys, "instantiate", model_file(tmp_path, machine),
+                       "--values", "a=1/2", "--dump-regions")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["regions"] == {"count": 8520, "reachable": 166, "initial": 107}
 
 
 def test_instantiate_needs_a_valuation(tmp_path, capsys):
@@ -260,6 +266,24 @@ def test_seed_flag_and_env_are_echoed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PARATAUR_SEED", "11")
     _, out, _ = run(capsys, "classify", path)
     assert json.loads(out)["seed"] == 11
+
+
+def test_bad_seed_in_environment_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    """In process and under python -O: a usage error, not a traceback."""
+    argv = ["classify", model_file(tmp_path, loop_xy(3))]
+    monkeypatch.setenv("PARATAUR_SEED", "abc")
+    code, out, err = run(capsys, *argv)
+    expected = "parataur: error: PARATAUR_SEED: invalid int value: 'abc'"
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == expected
+    assert err.count("error") == 1 and "Traceback" not in err
+
+    script = f"import sys\nfrom parataur import cli\nsys.exit(cli.main({argv!r}))\n"
+    optimized = subprocess.run([sys.executable, "-O", "-c", script],
+                               capture_output=True, text=True)
+    assert (optimized.returncode, optimized.stdout) == (1, "")
+    assert optimized.stderr.splitlines()[-1] == expected
+    assert optimized.stderr.count("error") == 1
 
 
 def test_simulate_2cm(tmp_path, capsys):

@@ -358,3 +358,81 @@ def test_deadlock_region_splits_states_exactly():
                 assert pt is not None
                 assert firing_delay(pta, state.location, pt) is not None, \
                     (serialize(pta), state.location, pt)
+
+
+# ---------------------------------------------------------------------------
+# The forward region graph against a full enumeration
+
+
+def eager_region_graph(ta):
+    """Every region of every location whose invariant holds throughout, in
+    enumeration order (location, then shape), with each node's delay
+    successor first and then its discrete successors in edge-id order."""
+    maxc = regions._max_constants(ta)
+    clock = {x: k for k, x in enumerate(ta.clocks)}
+    nodes = [(loc.name, ints, fracs)
+             for loc in ta.locations
+             for ints, fracs in regions._enumerate_shapes(maxc)
+             if regions._guard_holds(loc.invariant, clock, ints, frozenset(fracs[0]))]
+    index = {key: i for i, key in enumerate(nodes)}
+    succ = []
+    for loc, ints, fracs in nodes:
+        out = []
+        nxt = regions._delay_successor(ints, fracs, maxc)
+        if nxt is not None and (loc, *nxt) in index:
+            out.append((None, index[(loc, *nxt)]))
+        for edge_id, e in enumerate(ta.edges):
+            if e.source == loc and regions._guard_holds(
+                    e.guard, clock, ints, frozenset(fracs[0])):
+                resets = frozenset(clock[x] for x in e.resets)
+                key = (e.target, *regions._reset_region(ints, fracs, resets))
+                if key in index:
+                    out.append((edge_id, index[key]))
+        succ.append(out)
+    h = len(ta.clocks)
+    return nodes, succ, index.get((ta.init, (0,) * h, (tuple(range(h)),)))
+
+
+def eager_paths(succ, initial):
+    """Breadth-first parents from the initial node, and the reachable set."""
+    parents = {}
+    seen = {initial} if initial is not None else set()
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for edge_id, j in succ[i]:
+                if j not in seen:
+                    seen.add(j)
+                    parents[j] = (i, edge_id)
+                    nxt.append(j)
+        frontier = nxt
+    return seen, parents
+
+
+def test_forward_region_graph_matches_full_enumeration():
+    rng = random.Random(SEED + 12)
+    for draw in range(24):
+        pta = random_lu_pta(rng) if draw % 2 else random_bounded_pta(rng)
+        valuations = integer_valuations_of(pta.bounds)
+        for v in rng.sample(valuations, min(3, len(valuations))) + \
+                rational_samples_of(pta.bounds, count=1):
+            ta = instantiate(pta, v)
+            nodes, succ, initial = eager_region_graph(ta)
+            seen, parents = eager_paths(succ, initial)
+            where = (serialize(pta), v.as_dict())
+            assert set(regions.build_region_graph(ta).nodes) == \
+                {nodes[i] for i in seen}, where
+            assert regions.enumeration_size(ta) == (len(nodes), initial), where
+            for loc in ta.locations:
+                hits = [i for i in seen if nodes[i][0] == loc.name]
+                expected = None
+                if hits:
+                    expected, cur = [], min(hits)
+                    while cur in parents:
+                        cur, edge_id = parents[cur]
+                        if edge_id is not None:
+                            expected.append(edge_id)
+                    expected.reverse()
+                assert regions.reach_path(ta, {loc.name}) == expected, \
+                    where + (loc.name,)

@@ -1,6 +1,8 @@
 """Region graph construction and the finite-state queries: reachability,
 lasso detection, deadlock detection, and the AF check."""
 
+import itertools
+
 from parataur import regions
 from parataur.model import ParamValuation, atom, eq_atoms, instantiate
 from conftest import build, loop_xy
@@ -12,6 +14,7 @@ def inst(pta, **values):
 
 def test_single_clock_max_constant_one_has_four_regions():
     pta = build(edges=(("l0", "l0", (atom("x", "<=", constant=1),), ()),))
+    assert regions.enumeration_size(inst(pta)) == (4, 2)
     graph = regions.build_region_graph(inst(pta))
     assert len(graph.nodes) == 4
 
@@ -19,18 +22,32 @@ def test_single_clock_max_constant_one_has_four_regions():
 def test_two_clock_region_count_matches_enumeration():
     # Per clock with max constant 1: {0}, (0,1), {1}, top.  Pairs multiply
     # to 16, and the open-open pair refines into three fraction orderings.
+    # From x = y = 0 only the diagonal is reachable: {0}, (0,1), {1}, top.
     pta = build(clocks=("x", "y"),
                 edges=(("l0", "l0", (atom("x", "<=", constant=1),
                                      atom("y", "<=", constant=1)), ()),))
+    assert regions.enumeration_size(inst(pta))[0] == 18
     graph = regions.build_region_graph(inst(pta))
-    assert len(graph.nodes) == 18
+    assert len(graph.nodes) == 4
 
 
 def test_unconstrained_clocks_collapse():
     one = build(edges=(("l0", "l0", (), ()),))
+    assert regions.enumeration_size(inst(one))[0] == 2
     assert len(regions.build_region_graph(inst(one)).nodes) == 2
     two = build(clocks=("x", "y"), edges=(("l0", "l0", (), ()),))
-    assert len(regions.build_region_graph(inst(two)).nodes) == 4
+    assert regions.enumeration_size(inst(two))[0] == 4
+    assert len(regions.build_region_graph(inst(two)).nodes) == 2
+
+
+def test_shape_rank_sorts_the_enumeration_in_its_own_order():
+    cases = [m for h in (1, 2) for m in itertools.product(range(4), repeat=h)]
+    cases += list(itertools.product(range(3), repeat=3))
+    cases += [(1, 1, 1, 1), (2, 2, 1, 1), (0, 1, 0, 2), (1, 0, 2, 0)]
+    for maxc in cases:
+        keys = [regions._shape_rank(maxc, ints, fracs)
+                for ints, fracs in regions._enumerate_shapes(maxc)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), maxc
 
 
 def test_reach_unguarded_edge():
