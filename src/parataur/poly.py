@@ -3,7 +3,9 @@
 Constraints are stored as normalized linear inequalities ``t + c (<|<=) 0``
 over named variables (clocks and parameters), whose coefficients and
 constant are ``int``s of content 1.  Points, bounds and sample coordinates
-are ``Fraction``s.  Every polyhedron materializes nonnegativity of all its
+are ``Fraction``s.  A subsumption probe is a point as integer numerators
+over one common denominator, so testing it against a face costs integer
+arithmetic only.  Every polyhedron materializes nonnegativity of all its
 variables, since clock and parameter valuations live in the nonnegative
 rationals.  All operations are exact; the only quantifier elimination used
 anywhere is Fourier-Motzkin, with the usual rule that a combined inequality
@@ -121,12 +123,18 @@ def _dominance_prune(ineqs: Iterable[LinIneq]) -> tuple[LinIneq, ...]:
     return tuple(sorted(best.values(), key=_SORT_KEY))
 
 
+@lru_cache(maxsize=1024)
+def _orthant(names: tuple[str, ...]) -> tuple[LinIneq, ...]:
+    """The nonnegativity rows -v <= 0 of the variables."""
+    return tuple(lin({v: -1}, 0, False) for v in names)
+
+
 def make(clocks: Iterable[str], params: Iterable[str],
          ineqs: Iterable[LinIneq]) -> Polyhedron:
     clocks = tuple(clocks)
     params = tuple(params)
-    base = [lin({v: -1}, 0, False) for v in clocks + params]
-    return Polyhedron(clocks, params, _dominance_prune(base + list(ineqs)))
+    rows = itertools.chain(_orthant(clocks + params), ineqs)
+    return Polyhedron(clocks, params, _dominance_prune(rows))
 
 
 def origin(clocks: Iterable[str], params: Iterable[str]) -> Polyhedron:
@@ -453,10 +461,6 @@ def includes(outer: Polyhedron, inner: Polyhedron) -> bool:
     return True
 
 
-def equal(a: Polyhedron, b: Polyhedron) -> bool:
-    return includes(a, b) and includes(b, a)
-
-
 def quick_inclusion(outer: Polyhedron, inner: Polyhedron) -> bool | None:
     """Decide inner <= outer by matching coefficient vectors alone, or None
     when some outer face has no matched inner face.
@@ -478,6 +482,114 @@ def quick_inclusion(outer: Polyhedron, inner: Polyhedron) -> bool | None:
                 o.constant == i.constant and o.strict and not i.strict):
             return False
     return True if decided else None
+
+
+# ---------------------------------------------------------------------------
+# Integer probes: refuting inclusion without the solver
+#
+# A probe is a point scaled to one common denominator, (den, numerators)
+# with den > 0: coordinate v is numerators[v] / den.  The face
+# t + c (<|<=) 0 holds there iff c*den + t(numerators) (<|<=) 0.
+
+Probe = tuple[int, dict[str, int]]
+
+
+def probe_of(point: Mapping[str, Fraction]) -> Probe:
+    den = math.lcm(*(x.denominator for x in point.values()))
+    return den, {v: x.numerator * (den // x.denominator)
+                 for v, x in point.items()}
+
+
+def probe_holds(ineqs: Iterable[LinIneq], probe: Probe) -> bool:
+    """Every inequality holds at the probe."""
+    den, num = probe
+    for i in ineqs:
+        total = i.constant * den + sum(c * num[n] for n, c in i.coeffs)
+        if total > 0 or (total == 0 and i.strict):
+            return False
+    return True
+
+
+def _ray_point(face: LinIneq, direction: Mapping[str, int],
+               rows: tuple[LinIneq, ...],
+               probe: Probe) -> tuple[Probe | None, LinIneq | None]:
+    """Shoot the ray x(l) = probe + l*direction from a probe that satisfies
+    rows.  The ray crosses face at l0 (never, unless face rises along it)
+    and first leaves rows at lmax, the least crossing over rows r with
+    r.direction > 0.  When l0 < lmax, return x((l0 + lmax) / 2), a point of
+    rows beyond face (x(l0 + 1) when no row bounds the ray), and None;
+    else None and the row that stops the ray, if any.  Every ratio is
+    compared and summed by cross-multiplying, so the point is again a
+    probe."""
+    den, num = probe
+
+    def at_probe(i: LinIneq) -> int:
+        return i.constant * den + sum(c * num[n] for n, c in i.coeffs)
+
+    def rate(i: LinIneq) -> int:
+        return sum(c * direction.get(n, 0) for n, c in i.coeffs)
+
+    # Along the ray a row i reads (at_probe(i) + l*den*rate(i)) / den.
+    cross, rise = at_probe(face), rate(face)
+    if rise <= 0:
+        return None, None
+    first = slope = stop = None
+    for r in rows:
+        ra = rate(r)
+        if ra > 0:
+            value = at_probe(r)
+            if first is None or value * slope > first * ra:
+                first, slope, stop = value, ra, r
+    if first is None:
+        scale, shift = den * rise, den * rise - cross
+    elif cross * slope > first * rise:
+        scale, shift = 2 * den * rise * slope, -cross * slope - first * rise
+    else:
+        return None, stop
+    # x = num/den + direction*shift/scale, over the denominator scale.
+    lift = scale // den
+    out = {v: n * lift + direction.get(v, 0) * shift for v, n in num.items()}
+    g = math.gcd(scale, *out.values())
+    return (scale // g, {v: n // g for v, n in out.items()}), None
+
+
+def _bent(direction: Mapping[str, int], row: LinIneq) -> dict[str, int]:
+    """The direction less its component along the row's normal a, scaled by
+    a.a to stay integral: a ray along it keeps the row's value."""
+    a = dict(row.coeffs)
+    aa = sum(c * c for c in a.values())
+    da = sum(c * a.get(v, 0) for v, c in direction.items())
+    out = {v: aa * direction.get(v, 0) - da * a.get(v, 0)
+           for v in direction.keys() | a.keys()}
+    g = math.gcd(*out.values())
+    return {v: c // g for v, c in out.items() if c}
+
+
+def escape_point(outer: Polyhedron, inner: Polyhedron,
+                 faces: Iterable[LinIneq], probe: Probe) -> Probe | None:
+    """A point of inner outside outer, or None when no ray finds one.
+    Rays start at probe, a point of both, and cross one of faces (faces of
+    outer).  The first runs along the face's normal.  When a row of inner,
+    nonnegativity included, stops a ray before it crosses the face, the
+    next one runs along that row: the direction loses its component on the
+    row's normal.  At most one ray per variable is shot for each face.
+    Each point found is certified with exact integer tests before it is
+    returned."""
+    rows = inner.ineqs + _orthant(inner.vars)
+    for face in faces:
+        direction = dict(face.coeffs)
+        for _ in inner.vars:
+            point, stop = _ray_point(face, direction, rows, probe)
+            if point is not None:
+                if (not probe_holds(rows, point)
+                        or probe_holds(outer.ineqs, point)):
+                    raise InternalError(f"ray point {point} is not a point "
+                                        f"of {inner} outside {outer}")
+                return point
+            if stop is None:
+                break
+            direction = _bent(direction, stop)
+    return None
 
 
 @dataclass(frozen=True)

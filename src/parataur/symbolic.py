@@ -46,15 +46,6 @@ class ExplorationResult:
     def complete(self) -> bool:
         return self.status == COMPLETE
 
-    def path_to(self, index: int) -> list[int]:
-        """Discrete edge ids of the stored path reaching a state."""
-        path: list[int] = []
-        while index in self.parents:
-            index, edge_id = self.parents[index]
-            path.append(edge_id)
-        path.reverse()
-        return path
-
 
 def _checked(state: SymbolicState) -> SymbolicState:
     viol = poly.zone_violation(state.constraint)
@@ -127,21 +118,37 @@ def explore(pta: Pta, budget: Budget = Budget(),
 
     def subsumer(state: SymbolicState) -> int | None:
         # Stored states are minimized and nonempty, so matched faces often
-        # settle inclusion without the solver.  A sample of the new state,
-        # taken once a candidate needs it, prunes most of the rest.
-        probe = None
+        # settle inclusion without the solver.  Points of the new state,
+        # as integer probes, refute most of the rest: a sample taken once a
+        # candidate needs it, then every point that a ray from the sample
+        # across an unmatched face found outside an earlier candidate.  The
+        # probe that refuted last is tried first: neighbouring stored states
+        # tend to miss the same point.  Only the exact LP of includes
+        # answers that a candidate includes.
+        inner = state.constraint
+        probes: list[poly.Probe] = []
         for idx in by_location.get(state.location, ()):
             other = result.states[idx].constraint
-            quick = poly.quick_inclusion(other, state.constraint)
+            quick = poly.quick_inclusion(other, inner)
             if quick is not None:
                 if quick:
                     return idx
                 continue
-            if probe is None:
-                probe = poly.sample_point(state.constraint)
-            if not poly.contains(other, probe):
+            if not probes:
+                sample = poly.probe_of(poly.sample_point(inner))
+                probes.append(sample)
+                normals = {i.coeffs for i in inner.ineqs}
+            k = next((k for k, p in enumerate(probes)
+                      if not poly.probe_holds(other.ineqs, p)), None)
+            if k is not None:
+                probes.insert(0, probes.pop(k))
                 continue
-            if poly.includes(other, state.constraint):
+            faces = [o for o in other.ineqs if o.coeffs not in normals]
+            escape = poly.escape_point(other, inner, faces, sample)
+            if escape is not None:
+                probes.insert(0, escape)
+                continue
+            if poly.includes(other, inner):
                 return idx
         return None
 

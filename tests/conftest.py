@@ -5,7 +5,7 @@ suites compare against."""
 import itertools
 from fractions import Fraction
 
-from parataur import regions
+from parataur import poly, regions
 from parataur.model import (
     Edge,
     Interval,
@@ -141,6 +141,26 @@ def random_lu_pta(rng):
     bounds = tuple((p, Interval(0, 3)) for p in params)
     return build(name="random_lu", clocks=clocks, params=params,
                  locs=tuple(locs), edges=tuple(edges), bounds=bounds)
+
+
+# ---------------------------------------------------------------------------
+# Symbolic helpers
+
+
+def equal(a, b):
+    """Two polyhedra hold the same points: each includes the other."""
+    return poly.includes(a, b) and poly.includes(b, a)
+
+
+def path_to(result, index):
+    """Discrete edge ids of the stored path reaching a state of an
+    exploration result."""
+    path = []
+    while index in result.parents:
+        index, edge_id = result.parents[index]
+        path.append(edge_id)
+    path.reverse()
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from parataur import decide, poly, regions, symbolic
 from parataur.errors import NotLUError, OpenBoundsError, UnboundedError
 from parataur.model import Interval, ParamValuation, atom, eq_atoms, instantiate
-from conftest import build, edge_xp, loop_xy, open_unit, xp_selfloop
+from conftest import build, edge_xp, equal, loop_xy, open_unit, xp_selfloop
 
 
 def lu_window(bounds=None):
@@ -190,7 +190,7 @@ def test_deadlock_region_without_edges_is_whole_state():
     s0 = symbolic.initial_state(pta)
     region = decide.deadlock_region(pta, s0)
     assert len(region.disjuncts) == 1
-    assert poly.equal(region.disjuncts[0], s0.constraint)
+    assert equal(region.disjuncts[0], s0.constraint)
 
 
 def test_deadlock_region_beyond_upper_guard():
@@ -201,7 +201,7 @@ def test_deadlock_region_beyond_upper_guard():
     region = decide.deadlock_region(pta, s0)
     expected = poly.make(("x",), ("q",), [poly.lin({"q": 1, "x": -1}, 0, True)])
     assert len(region.disjuncts) == 1
-    assert poly.equal(region.disjuncts[0], expected)
+    assert equal(region.disjuncts[0], expected)
 
 
 def test_deadlock_region_lower_guard_always_firable():

@@ -9,6 +9,7 @@ import pytest
 from parataur import poly
 from parataur.errors import NotAZoneError, UnboundedError
 from parataur.model import Interval, atom, eq_atoms
+from conftest import equal
 
 X = ("x",)
 XY = ("x", "y")
@@ -31,12 +32,12 @@ def test_intersect_overlapping_intervals():
     b = zone(X, (), atom("x", ">=", constant=1))
     expected = zone(X, (), atom("x", "<=", constant=2),
                     atom("x", ">=", constant=1))
-    assert poly.equal(poly.intersect(a, b), expected)
+    assert equal(poly.intersect(a, b), expected)
 
 
 def test_intersect_with_top_is_identity():
     c = zone(XY, P, atom("x", "<=", ("p",)))
-    assert poly.equal(poly.intersect(c, poly.make(XY, P, ())), c)
+    assert equal(poly.intersect(c, poly.make(XY, P, ())), c)
 
 
 def test_intersect_disjoint_reported_empty():
@@ -53,19 +54,19 @@ def test_elapse_from_origin_is_diagonal():
     out = poly.time_elapse(poly.origin(XY, ()))
     expected = poly.make(XY, (), [poly.lin({"x": 1, "y": -1}, 0, False),
                                   poly.lin({"x": -1, "y": 1}, 0, False)])
-    assert poly.equal(out, expected)
+    assert equal(out, expected)
 
 
 def test_elapse_preserves_differences():
     start = zone(XY, P, eq_atoms("x", ("p",)), eq_atoms("y"))
     expected = poly.make(XY, P, [poly.lin({"x": 1, "y": -1, "p": -1}, 0, False),
                                  poly.lin({"x": -1, "y": 1, "p": 1}, 0, False)])
-    assert poly.equal(poly.time_elapse(start), expected)
+    assert equal(poly.time_elapse(start), expected)
 
 
 def test_elapse_drops_upper_bounds():
     out = poly.time_elapse(zone(X, (), atom("x", "<=", constant=1)))
-    assert poly.equal(out, poly.make(X, (), ()))
+    assert equal(out, poly.make(X, (), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +75,19 @@ def test_elapse_drops_upper_bounds():
 
 def test_past_of_point_is_interval():
     out = poly.time_past(zone(X, (), eq_atoms("x", constant=1)))
-    assert poly.equal(out, zone(X, (), atom("x", "<=", constant=1)))
+    assert equal(out, zone(X, (), atom("x", "<=", constant=1)))
 
 
 def test_past_of_origin_is_origin():
     c = poly.origin(XY, ())
-    assert poly.equal(poly.time_past(c), c)
+    assert equal(poly.time_past(c), c)
 
 
 def test_past_keeps_differences_clips_at_zero():
     diagonal = [poly.lin({"x": 1, "y": -1, "p": -1}, 0, False),
                 poly.lin({"x": -1, "y": 1, "p": 1}, 0, False)]
     start = poly.make(XY, P, diagonal + [poly.lin({"y": -1}, 2, False)])
-    assert poly.equal(poly.time_past(start), poly.make(XY, P, diagonal))
+    assert equal(poly.time_past(start), poly.make(XY, P, diagonal))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_past_keeps_differences_clips_at_zero():
 def test_reset_single_clock():
     start = zone(XY, (), eq_atoms("x", constant=5), eq_atoms("y", constant=3))
     expected = zone(XY, (), eq_atoms("x"), eq_atoms("y", constant=3))
-    assert poly.equal(poly.reset(start, ("x",)), expected)
+    assert equal(poly.reset(start, ("x",)), expected)
 
 
 def test_reset_all_clocks_keeps_parameter_constraints():
@@ -104,14 +105,14 @@ def test_reset_all_clocks_keeps_parameter_constraints():
     expected = poly.make(X, P, [poly.lin({"x": 1}, 0, False),
                                 poly.lin({"x": -1}, 0, False),
                                 poly.lin({"p": -1}, 1, False)])
-    assert poly.equal(poly.reset(start, X), expected)
+    assert equal(poly.reset(start, X), expected)
 
 
 def test_reset_eliminates_diagonal():
     start = poly.make(XY, P, [poly.lin({"x": 1, "y": -1, "p": -1}, 0, False)])
     expected = poly.make(XY, P, [poly.lin({"y": 1}, 0, False),
                                  poly.lin({"y": -1}, 0, False)])
-    assert poly.equal(poly.reset(start, ("y",)), expected)
+    assert equal(poly.reset(start, ("y",)), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +121,20 @@ def test_reset_eliminates_diagonal():
 
 def test_unreset_upper_constant_becomes_true():
     out = poly.unreset_invariant((atom("x", "<=", constant=2),), ("x",), X, ())
-    assert poly.equal(out, poly.make(X, (), ()))
+    assert equal(out, poly.make(X, (), ()))
 
 
 def test_unreset_without_resets_is_identity():
     inv = (atom("x", "<=", ("p",)),)
     out = poly.unreset_invariant(inv, (), X, P)
-    assert poly.equal(out, zone(X, P, *inv))
+    assert equal(out, zone(X, P, *inv))
 
 
 def test_unreset_keeps_untouched_atoms():
     inv = (atom("x", "<=", ("p",)), atom("y", "<=", constant=1))
     out = poly.unreset_invariant(inv, ("x",), XY, P)
     expected = poly.make(XY, P, [poly.lin({"y": 1}, -1, False)])
-    assert poly.equal(out, expected)
+    assert equal(out, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def test_project_params_single_step():
     c = zone(X, P, atom("x", "<=", ("p",)), atom("x", ">=", constant=1))
     out = poly.project_params(c)
     assert out.clocks == ()
-    assert poly.equal(out, poly.make((), P, [poly.lin({"p": -1}, 1, False)]))
+    assert equal(out, poly.make((), P, [poly.lin({"p": -1}, 1, False)]))
 
 
 def test_project_params_ties_parameters():
@@ -152,7 +153,7 @@ def test_project_params_ties_parameters():
     expected = poly.make((), ("p", "q"),
                          [poly.lin({"p": 1, "q": -1}, 0, False),
                           poly.lin({"p": -1, "q": 1}, 0, False)])
-    assert poly.equal(poly.project_params(c), expected)
+    assert equal(poly.project_params(c), expected)
 
 
 def test_project_params_empty_in_empty_out():
@@ -349,17 +350,17 @@ def test_integer_point_requires_bounds():
 def test_operator_idempotence_small():
     c = zone(XY, P, atom("x", "<=", ("p",)), atom("y", ">=", constant=1))
     up = poly.time_elapse(c)
-    assert poly.equal(poly.time_elapse(up), up)
+    assert equal(poly.time_elapse(up), up)
     down = poly.time_past(c)
-    assert poly.equal(poly.time_past(down), down)
+    assert equal(poly.time_past(down), down)
     r = poly.reset(c, ("x",))
-    assert poly.equal(poly.reset(r, ("x",)), r)
+    assert equal(poly.reset(r, ("x",)), r)
 
 
 def test_minimized_drops_redundant_face():
     c = zone(X, (), atom("x", "<=", constant=2), atom("x", "<=", constant=3))
     m = poly.minimized(c)
-    assert poly.equal(m, c)
+    assert equal(m, c)
     assert all("-3" not in s for s in m.debug_strings())
 
 

@@ -24,8 +24,10 @@ from conftest import (
     _GUARD_OPS,
     _random_atoms,
     build,
+    equal,
     firing_delay,
     integer_valuations_of,
+    path_to,
     random_bounded_pta,
     random_lu_pta,
     rational_samples_of,
@@ -136,13 +138,13 @@ def test_zone_operator_laws():
         checked += 1
         up = poly.time_elapse(c)
         down = poly.time_past(c)
-        assert poly.equal(poly.time_elapse(up), up)
-        assert poly.equal(poly.time_past(down), down)
+        assert equal(poly.time_elapse(up), up)
+        assert equal(poly.time_past(down), down)
         assert poly.includes(up, c) and poly.includes(down, c)
         r = poly.reset(c, c.clocks[:1])
-        assert poly.equal(poly.reset(r, c.clocks[:1]), r)
-        assert poly.equal(poly.minimized(c), c)
-        assert poly.equal(poly.intersect(c, c), c)
+        assert equal(poly.reset(r, c.clocks[:1]), r)
+        assert equal(poly.minimized(c), c)
+        assert equal(poly.intersect(c, c), c)
         assert poly.zone_violation(up) is None
         assert poly.zone_violation(r) is None
 
@@ -259,11 +261,11 @@ def test_stored_paths_replay_to_their_states():
         checked += 1
         for i, state in enumerate(result.states):
             s = symbolic.initial_state(pta)
-            for edge_id in result.path_to(i):
+            for edge_id in path_to(result, i):
                 s = symbolic.succ(pta, s, pta.edges[edge_id])
                 assert s is not None
             assert s.location == state.location
-            assert poly.equal(s.constraint, state.constraint)
+            assert equal(s.constraint, state.constraint)
 
 
 def test_subsumption_does_not_change_projections():

@@ -8,7 +8,7 @@ import pytest
 from parataur import poly, symbolic
 from parataur.errors import EmptyInitialError
 from parataur.model import Interval, atom
-from conftest import build, edge_xp, loop_xy
+from conftest import build, edge_xp, equal, loop_xy, path_to
 
 XY = ("x", "y")
 P = ("p",)
@@ -20,7 +20,7 @@ def test_initial_state_without_invariant_is_diagonal():
     expected = poly.make(XY, (), [poly.lin({"x": 1, "y": -1}, 0, False),
                                   poly.lin({"x": -1, "y": 1}, 0, False)])
     assert s0.location == "l0"
-    assert poly.equal(s0.constraint, expected)
+    assert equal(s0.constraint, expected)
 
 
 def test_initial_state_stops_at_invariant():
@@ -30,7 +30,7 @@ def test_initial_state_stops_at_invariant():
     expected = poly.make(XY, P, [poly.lin({"x": 1, "y": -1}, 0, False),
                                  poly.lin({"x": -1, "y": 1}, 0, False),
                                  poly.lin({"x": 1, "p": -1}, 0, False)])
-    assert poly.equal(s0.constraint, expected)
+    assert equal(s0.constraint, expected)
 
 
 def test_initial_state_conjoins_bounds_box():
@@ -58,7 +58,7 @@ def test_succ_of_loop_fixture():
                                  poly.lin({"p": -1}, 1, False),
                                  poly.lin({"p": 1}, -3, False)])
     assert s1.location == "l0"
-    assert poly.equal(s1.constraint, expected)
+    assert equal(s1.constraint, expected)
 
 
 def test_succ_unsatisfiable_guard_is_absent():
@@ -75,7 +75,7 @@ def test_succ_elapse_closed_state_unchanged():
     s0 = symbolic.initial_state(pta)
     s1 = symbolic.succ(pta, s0, pta.edges[0])
     assert s1.location == "l1"
-    assert poly.equal(s1.constraint, s0.constraint)
+    assert equal(s1.constraint, s0.constraint)
 
 
 def test_explore_loop_complete_state_count():
@@ -131,7 +131,7 @@ def test_path_to_records_edge_ids():
                 edges=(("l0", "l1", (), ()), ("l1", "l2", (), ())))
     result = symbolic.explore(pta)
     index = next(i for i, s in enumerate(result.states) if s.location == "l2")
-    assert result.path_to(index) == [0, 1]
+    assert path_to(result, index) == [0, 1]
 
 
 def test_reach_project_single_edge():
@@ -139,7 +139,7 @@ def test_reach_project_single_edge():
     assert status == symbolic.COMPLETE
     box = poly.make((), P, [poly.lin({"p": 1}, -2, False)])
     assert len(union.disjuncts) == 1
-    assert poly.equal(union.disjuncts[0], box)
+    assert equal(union.disjuncts[0], box)
 
 
 def test_reach_project_unreachable_target_empty():
