@@ -303,9 +303,22 @@ def _add_common(p: argparse.ArgumentParser, model: bool = True):
                    help="echoed in output for reproducibility")
 
 
+def _at_least(low: int):
+    """An argparse type: an int of at least low.  Malformed text keeps
+    argparse's "invalid int value" message."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _add_budget(p: argparse.ArgumentParser):
-    p.add_argument("--max-states", type=int, default=Budget.max_states)
-    p.add_argument("--max-depth", type=int, default=Budget.max_depth)
+    p.add_argument("--max-states", type=_at_least(1), default=Budget.max_states)
+    p.add_argument("--max-depth", type=_at_least(0), default=Budget.max_depth)
 
 
 @functools.cache

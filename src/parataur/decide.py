@@ -239,7 +239,7 @@ def deadlock_region(pta: Pta, state: SymbolicState) -> poly.PolyUnion:
                                    pta.clocks, pta.parameters))
         enabled = poly.conjoin_guard(enabled, inv_src)
         past = poly.minimized(poly.conjoin_guard(poly.time_past(enabled), inv_src))
-        if poly.is_empty(past):
+        if past.trivially_empty:
             continue
         pieces = [q for p in pieces for q in poly.difference(p, past).disjuncts]
     return poly.union_of(pieces)

@@ -499,10 +499,12 @@ def classify(pta: Pta) -> Classification:
 # Instantiation
 
 
-def _scale_guard(guard: Guard, v: ParamValuation, scale: int) -> Guard:
+def _scale_guard(guard: Guard, values: Iterable[Fraction | int],
+                 scale: int) -> Guard:
+    """The guard with each atom's value (its constant plus its parameters)
+    multiplied by scale, which must leave an integer."""
     out = []
-    for a in guard:
-        value = Fraction(a.constant) + sum((v[p] for p in a.params), Fraction(0))
+    for a, value in zip(guard, values):
         scaled = value * scale
         if scaled.denominator != 1:
             raise InternalError(f"scale {scale} leaves {scaled} in a guard")
@@ -516,19 +518,18 @@ def instantiate(pta: Pta, v: ParamValuation) -> Ta:
     if v.names() != frozenset(pta.parameters):
         raise UnknownIdentifierError(
             f"valuation domain {sorted(v.names())} != parameters")
-    denoms = [1]
-    for a in pta.all_atoms():
-        value = Fraction(a.constant) + sum((v[p] for p in a.params), Fraction(0))
-        denoms.append(value.denominator)
-    scale = math.lcm(*denoms)
-    locations = tuple(
-        Location(loc.name, _scale_guard(loc.invariant, v, scale))
-        for loc in pta.locations
-    )
-    edges = tuple(
-        Edge(e.source, e.target, e.action, _scale_guard(e.guard, v, scale), e.resets)
-        for e in pta.edges
-    )
+    point = v.as_dict()
+    if all(x.denominator == 1 for x in point.values()):
+        point = {p: x.numerator for p, x in point.items()}
+    guards = [loc.invariant for loc in pta.locations] + [e.guard for e in pta.edges]
+    values = [[a.constant + sum(point[p] for p in a.params) for a in g]
+              for g in guards]
+    scale = math.lcm(1, *(x.denominator for vs in values for x in vs))
+    scaled = [_scale_guard(g, vs, scale) for g, vs in zip(guards, values)]
+    locations = tuple(Location(loc.name, g)
+                      for loc, g in zip(pta.locations, scaled))
+    edges = tuple(Edge(e.source, e.target, e.action, g, e.resets)
+                  for e, g in zip(pta.edges, scaled[len(pta.locations):]))
     return Ta(pta.name, pta.clocks, locations, pta.init, edges, scale)
 
 

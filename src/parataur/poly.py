@@ -101,6 +101,12 @@ class Polyhedron:
     def vars(self) -> tuple[str, ...]:
         return self.clocks + self.params
 
+    @property
+    def trivially_empty(self) -> bool:
+        """Some row is trivially false.  Every empty polyhedron that
+        ``minimized`` returns is, so its emptiness needs no LP."""
+        return any(i.trivially_false for i in self.ineqs)
+
     def debug_strings(self) -> tuple[str, ...]:
         return tuple(sorted(i.render() for i in self.ineqs))
 
@@ -333,11 +339,20 @@ _FALSE = lin({}, 1, False)
 _REDUCE_ABOVE = 18
 
 
+def _orthant_implied(i: LinIneq) -> bool:
+    """Nonnegativity alone implies the row: no coefficient is positive and
+    the constant is negative, or zero on a non-strict row."""
+    return all(c <= 0 for _, c in i.coeffs) and (
+        i.constant < 0 or (i.constant == 0 and not i.strict))
+
+
 @lru_cache(maxsize=65536)
 def _minimized_ineqs(ineqs: tuple[LinIneq, ...]) -> tuple[LinIneq, ...]:
     """Drop every inequality implied by the rest (within the orthant).
     Wide rows are tried first so the kept description prefers the simple
-    single-variable and difference faces."""
+    single-variable and difference faces.  A row that nonnegativity implies
+    is dropped without the LP, which could only find its negation empty.
+    The result is the single false row exactly when ineqs is empty."""
     if _ineqs_empty(ineqs):
         return (_FALSE,)
     work = list(ineqs)
@@ -345,7 +360,8 @@ def _minimized_ineqs(ineqs: tuple[LinIneq, ...]) -> tuple[LinIneq, ...]:
         if len(work) == 1:
             break
         others = [q for q in work if q != i]
-        if _ineqs_empty(tuple(sorted(others + [i.negated()], key=_SORT_KEY))):
+        if _orthant_implied(i) or _ineqs_empty(
+                tuple(sorted(others + [i.negated()], key=_SORT_KEY))):
             work = others
     return tuple(work)
 

@@ -7,9 +7,11 @@ are exactly integer).  Guards are evaluated "holds throughout the region",
 which is exact because the per-clock maximal constants refine every atom.
 
 The graph is built forward from the initial region, so it holds only the
-regions reachable from it, numbered in discovery order.  A reachability
-witness leads to the target region that comes first in enumeration order:
-location order, then the order of ``_enumerate_shapes``.
+regions reachable from it, numbered in discovery order.  A yes/no
+reachability test (``ta_reach``) stops the build at the first region of a
+target location.  A reachability witness (``reach_path``) needs the whole
+graph: it leads to the target region that comes first in enumeration
+order, location order, then the order of ``_enumerate_shapes``.
 
 Queries answered on the graph: location reachability (with a discrete-edge
 witness), existence of a reachable cycle with at least one discrete edge,
@@ -198,9 +200,12 @@ class RegionGraph:
         return self._can_fire[i]
 
 
-def build_region_graph(ta: Ta) -> RegionGraph:
+def build_region_graph(ta: Ta, targets: frozenset[str] = frozenset()
+                       ) -> RegionGraph:
     """Breadth-first from the initial region: each node adds its delay
-    successor, then its discrete successors in edge-id order."""
+    successor, then its discrete successors in edge-id order.  The build
+    stops as soon as it adds a region of a target location, which is then
+    the last node of a partial graph."""
     maxc = _max_constants(ta)
     index_of_clock = {x: k for k, x in enumerate(ta.clocks)}
     invariant = {loc.name: loc.invariant for loc in ta.locations}
@@ -211,13 +216,16 @@ def build_region_graph(ta: Ta) -> RegionGraph:
 
     nodes: list[tuple[str, Ints, Fracs]] = []
     index: dict[tuple[str, Ints, Fracs], int] = {}
+    reached = False
 
     def node(key: tuple[str, Ints, Fracs]) -> int | None:
+        nonlocal reached
         j = index.get(key)
         if j is None and _guard_holds(invariant[key[0]], index_of_clock,
                                       key[1], frozenset(key[2][0])):
             j = index[key] = len(nodes)
             nodes.append(key)
+            reached = key[0] in targets
         return j
 
     h = len(ta.clocks)
@@ -225,7 +233,7 @@ def build_region_graph(ta: Ta) -> RegionGraph:
     delay: dict[int, int] = {}
     discrete_out: dict[int, list[tuple[int, int]]] = {}
     i = 0
-    while i < len(nodes):
+    while i < len(nodes) and not reached:
         loc, ints, fracs = nodes[i]
         nxt = _delay_successor(ints, fracs, maxc)
         if nxt is not None:
@@ -234,6 +242,8 @@ def build_region_graph(ta: Ta) -> RegionGraph:
                 delay[i] = j
         zero_set = frozenset(fracs[0])
         for edge_id, e, resets in edges_from.get(loc, ()):
+            if reached:
+                break
             if _guard_holds(e.guard, index_of_clock, ints, zero_set):
                 j = node((e.target, *_reset_region(ints, fracs, resets)))
                 if j is not None:
@@ -322,7 +332,12 @@ def _has_discrete_lasso(graph: RegionGraph, nodes: set[int]) -> bool:
 
 
 def ta_reach(ta: Ta, targets: Iterable[str]) -> bool:
-    return reach_path(ta, targets) is not None
+    """Some region of a target location is reachable.  Every node of the
+    graph is reachable, and the build stops at the first target region, so
+    the last node tells."""
+    targets = frozenset(targets)
+    nodes = build_region_graph(ta, targets).nodes
+    return bool(nodes) and nodes[-1][0] in targets
 
 
 def reach_path(ta: Ta, targets: Iterable[str]) -> list[int] | None:

@@ -66,7 +66,7 @@ def initial_state(pta: Pta) -> SymbolicState:
     if bounds:
         c = poly.intersect(c, poly.bounds_box(pta.clocks, pta.parameters, bounds))
     c = poly.minimized(c)
-    if poly.is_empty(c):
+    if c.trivially_empty:
         raise EmptyInitialError(
             "initial invariant excludes the origin for every parameter valuation")
     return _checked(SymbolicState(pta.init, c))
@@ -87,7 +87,7 @@ def succ(pta: Pta, state: SymbolicState, edge: Edge) -> SymbolicState | None:
     c = poly.time_elapse(c)
     c = poly.conjoin_guard(c, inv)
     c = poly.minimized(c)
-    if poly.is_empty(c):
+    if c.trivially_empty:
         return None
     return _checked(SymbolicState(edge.target, c))
 

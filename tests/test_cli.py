@@ -230,6 +230,38 @@ def test_explore_dump_and_budget_exit(tmp_path, capsys):
     assert json.loads(out)["status"] == "budget_exceeded"
 
 
+@pytest.mark.parametrize("command, extra, flag, value, least", [
+    ("explore", [], "--max-states", "0", 1),
+    ("explore", [], "--max-states", "-3", 1),
+    ("explore", [], "--max-depth", "-1", 0),
+    ("check", ["--prop", "EF", "--targets", "l0"], "--max-states", "0", 1),
+    ("synth-int", ["--targets", "l0"], "--max-depth", "-2", 0),
+])
+def test_budgets_below_their_least_value_are_usage_errors(
+        tmp_path, capsys, command, extra, flag, value, least):
+    code, out, err = run(capsys, command, model_file(tmp_path, loop_xy(2)),
+                         *extra, flag, value)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: parataur ")
+    assert err.splitlines()[-1] == (f"parataur {command}: error: argument {flag}: "
+                                    f"must be at least {least}, not {value}")
+    assert err.count("error") == 1
+
+
+def test_least_budgets_are_accepted(tmp_path, capsys):
+    path = model_file(tmp_path, loop_xy(2))
+    code, out, _ = run(capsys, "explore", path, "--max-states", "1")
+    assert code == 2
+    assert json.loads(out) == {"edge_count": 0, "state_count": 1,
+                               "status": "budget_exceeded"}
+    code, out, _ = run(capsys, "explore", path, "--max-depth", "0")
+    assert code == 2
+    assert json.loads(out)["state_count"] == 1
+    code, _, err = run(capsys, "explore", path, "--max-states", "two")
+    assert code == 1
+    assert err.splitlines()[-1].endswith("invalid int value: 'two'")
+
+
 def test_instantiate_values(tmp_path, capsys):
     code, out, _ = run(capsys, "instantiate", model_file(tmp_path, loop_xy(3)),
                        "--values", "p=1/2")

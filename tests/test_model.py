@@ -2,6 +2,7 @@
 classification, instantiation and extreme valuations."""
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -34,7 +35,17 @@ from parataur.model import (
     render_atom,
     serialize,
 )
-from conftest import build, edge_xp, loop_xy, open_unit, random_lu_pta, xp_selfloop
+from conftest import (
+    build,
+    edge_xp,
+    integer_valuations_of,
+    loop_xy,
+    open_unit,
+    random_bounded_pta,
+    random_lu_pta,
+    rational_samples_of,
+    xp_selfloop,
+)
 
 LOOP_JSON = json.dumps({
     "name": "loop_xy",
@@ -181,21 +192,57 @@ def test_instantiate_rational_valuation_scales():
     assert sorted((a.op, a.constant) for a in edge.guard) == [("<=", 1), (">=", 1)]
 
 
+def fraction_instantiation(pta, v):
+    """Scale and scaled constants of every guard (invariants, then edges),
+    computed in Fractions from the atoms' values."""
+    guards = [loc.invariant for loc in pta.locations] + [e.guard for e in pta.edges]
+    values = [[Fraction(a.constant) + sum((v[p] for p in a.params), Fraction(0))
+               for a in g] for g in guards]
+    scale = math.lcm(1, *(x.denominator for vs in values for x in vs))
+    return scale, [[x * scale for x in vs] for vs in values]
+
+
+def test_instantiate_equals_the_fraction_formula():
+    rng = random.Random(20261020)
+    ptas = [random_bounded_pta(rng) for _ in range(30)]
+    ptas += [random_lu_pta(rng) for _ in range(30)]
+    # p + q is an integer at p = q = 1/2, and a half at p = 1/3, q = 1/6.
+    ptas.append(build(clocks=("x",), params=("p", "q"),
+                      locs=(("l0", (atom("x", "<=", ("p", "q"), 1),)),),
+                      bounds=(("p", Interval(0, 1)), ("q", Interval(0, 1)))))
+    scales = set()
+    for pta in ptas:
+        valuations = (integer_valuations_of(pta.bounds)
+                      + rational_samples_of(pta.bounds or (), 3)
+                      + [ParamValuation.of({p: Fraction(1, 2) for p in pta.parameters}),
+                         ParamValuation.of(dict(zip(pta.parameters, (
+                             Fraction(1, 3), Fraction(1, 6)))))])
+        for v in valuations:
+            if v.names() != frozenset(pta.parameters):
+                continue
+            ta = instantiate(pta, v)
+            scale, constants = fraction_instantiation(pta, v)
+            guards = [loc.invariant for loc in ta.locations] + [e.guard for e in ta.edges]
+            assert ta.scale == scale, (pta, v)
+            assert [[a.constant for a in g] for g in guards] == constants
+            assert all(type(a.constant) is int for g in guards for a in g)
+            scales.add(scale)
+    assert {1, 2, 3, 4, 6, 7} <= scales
+
+
 def test_scale_guard_rejects_a_scale_that_leaves_a_fraction():
-    """Scale 1 cannot clear p = 1/2; the check raises, in process and under
-    python -O, which strips assert statements."""
+    """Scale 1 cannot clear the value p = 1/2 of x <= p; the check raises,
+    in process and under python -O, which strips assert statements."""
     guard = (atom("x", "<=", ("p",)),)
-    half = ParamValuation.of({"p": Fraction(1, 2)})
     with pytest.raises(InternalError):
-        _scale_guard(guard, half, 1)
+        _scale_guard(guard, [Fraction(1, 2)], 1)
 
     script = textwrap.dedent("""
         from fractions import Fraction
         from parataur.errors import InternalError
-        from parataur.model import ParamValuation, _scale_guard, atom
+        from parataur.model import _scale_guard, atom
         try:
-            _scale_guard((atom("x", "<=", ("p",)),),
-                         ParamValuation.of({"p": Fraction(1, 2)}), 1)
+            _scale_guard((atom("x", "<=", ("p",)),), [Fraction(1, 2)], 1)
         except InternalError:
             raise SystemExit(3)
     """)

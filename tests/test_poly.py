@@ -2,6 +2,7 @@
 reset, projection, difference, emptiness, containment, integer points,
 and deterministic sampling."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -362,6 +363,60 @@ def test_minimized_drops_redundant_face():
     m = poly.minimized(c)
     assert equal(m, c)
     assert all("-3" not in s for s in m.debug_strings())
+
+
+def greedy_minimization(ineqs):
+    """Minimization with one LP for every row: widest rows first, a row
+    dropped when its negation is infeasible with the rows kept so far,
+    stopping at one row."""
+    if not poly._satisfiable(ineqs):
+        return (poly._FALSE,)
+    work = list(ineqs)
+    order = sorted(ineqs, key=lambda q: (-len(q.coeffs), q.coeffs, q.constant,
+                                         q.strict))
+    for i in order:
+        if len(work) == 1:
+            break
+        others = [q for q in work if q != i]
+        if not poly._satisfiable(tuple(others + [i.negated()])):
+            work = others
+    return tuple(work)
+
+
+def test_minimization_equals_one_lp_per_row():
+    """Rows that nonnegativity implies are dropped without an LP, exactly
+    where the LP drops them; -x - p < 0 is not one of them, the origin
+    violates it.  The result is the single false row exactly when the
+    system is empty."""
+    names = ("x", "y", "p")
+    special = [poly.lin({"x": -1}, 0, False), poly.lin({"x": -1, "p": -1}, 0, False),
+               poly.lin({"x": -1}, -2, True), poly.lin({"x": -1, "p": -1}, 0, True),
+               poly.lin({"y": -1, "p": -2}, -1, False)]
+    rng = random.Random(20261020)
+    systems = [(), (special[3],), tuple(special[:1]), tuple(special[1:3])]
+    for _ in range(300):
+        rows = rng.sample(special, rng.randint(0, 3))
+        for _ in range(rng.randint(0, 4)):
+            coeffs = {v: rng.randint(-2, 2) for v in rng.sample(names, 2)}
+            rows.append(poly.lin(coeffs, rng.randint(-3, 3), rng.random() < 0.4))
+        if rng.random() < 0.5:
+            rows += poly._orthant(names)
+        systems.append(tuple(sorted(set(rows), key=poly._SORT_KEY)))
+    systems.append(poly.make(("x", "y"), P, []).ineqs)
+    systems.append(poly.make(X, P, [poly.lin({"x": 1}, -1, False)]).ineqs)
+    lengths = set()
+    for ineqs in systems:
+        got = poly._minimized_ineqs(ineqs)
+        assert got == greedy_minimization(ineqs), ineqs
+        c = poly.Polyhedron(("x", "y"), P, ineqs)
+        assert poly.minimized(c).trivially_empty == poly.is_empty(c)
+        lengths.add(len(got))
+    assert {0, 1, 2} <= lengths
+    # -x - p < 0 holds off the origin only, so it stays; -x - 2 < 0 goes.
+    kept = poly._minimized_ineqs(tuple(sorted(
+        (special[2], special[3], poly.lin({"x": 1}, -3, False)),
+        key=poly._SORT_KEY)))
+    assert special[3] in kept and special[2] not in kept
 
 
 def test_zone_shape_accepts_guards_flags_sums():

@@ -2,10 +2,21 @@
 lasso detection, deadlock detection, and the AF check."""
 
 import itertools
+import random
+from fractions import Fraction
 
-from parataur import regions
+from parataur import mcm, regions
 from parataur.model import ParamValuation, atom, eq_atoms, instantiate
-from conftest import build, loop_xy
+from conftest import (
+    build,
+    integer_valuations_of,
+    loop_xy,
+    random_bounded_pta,
+    random_lu_pta,
+    rational_samples_of,
+)
+
+TWO_INC = "q0: inc C1 -> q1\nq1: inc C1 -> q2\nq2: halt\n"
 
 
 def inst(pta, **values):
@@ -66,6 +77,67 @@ def test_reach_blocked_by_source_invariant():
 def test_reach_empty_target_set_is_false():
     pta = build()
     assert not regions.ta_reach(inst(pta), set())
+
+
+def invariant_gate():
+    """l1's invariant x <= 1 rejects the region that edge 0 enters (x >= 2);
+    l1 is reached through l2, which resets x."""
+    return build(locs=(("l0", ()), ("l1", (atom("x", "<=", constant=1),)),
+                       ("l2", ())),
+                 edges=(("l0", "l1", (atom("x", ">=", constant=2),), ()),
+                        ("l0", "l2", (atom("x", ">=", constant=3),), ("x",)),
+                        ("l2", "l1", (), ())))
+
+
+def fork():
+    """The initial region enters l1 by edge 0, then l2 by edge 1."""
+    return build(locs=(("l0", ()), ("l1", ()), ("l2", ())),
+                 edges=(("l0", "l1", (), ()), ("l0", "l2", (), ())))
+
+
+def test_ta_reach_agrees_with_reach_path():
+    """ta_reach stops building at the first target region; reach_path
+    builds the whole graph.  Every target set of one or two locations is
+    tried, so targets holding the initial location and unreachable ones are
+    among them, at integer and rational valuations."""
+    rng = random.Random(20261020)
+    ptas = [random_bounded_pta(rng) for _ in range(25)]
+    ptas += [random_lu_pta(rng) for _ in range(25)]
+    gated = build(locs=(("l0", ()), ("l1", (atom("x", "<=", constant=1),))),
+                  edges=(("l0", "l1", (atom("x", ">=", constant=2),), ()),))
+    outcomes = set()
+    for pta in ptas + [invariant_gate(), gated, fork()]:
+        names = [loc.name for loc in pta.locations]
+        valuations = (integer_valuations_of(pta.bounds)[:4]
+                      + rational_samples_of(pta.bounds or (), 2))
+        for v in valuations:
+            ta = instantiate(pta, v)
+            for k in (0, 1, 2):
+                for targets in itertools.combinations(names, k):
+                    reached = regions.ta_reach(ta, targets)
+                    assert reached == (regions.reach_path(ta, targets)
+                                       is not None), (pta, v, targets)
+                    outcomes.add((reached, ta.init in targets))
+    assert {(False, False), (True, False), (True, True)} <= outcomes
+    assert not regions.ta_reach(inst(gated), {"l1"})
+    assert regions.ta_reach(inst(invariant_gate()), {"l1"})
+
+
+def test_ta_reach_stops_at_the_first_target_region():
+    machine = mcm.compile_to_pta(mcm.parse_machine(TWO_INC))
+    ta = instantiate(machine, ParamValuation.of({"a": Fraction(1, 2)}))
+    targets = frozenset({mcm.FINAL_LOCATION})
+    partial = regions.build_region_graph(ta, targets)
+    assert len(partial.nodes) == 132
+    assert len(regions.build_region_graph(ta).nodes) == 166
+    assert partial.nodes[-1][0] == mcm.FINAL_LOCATION
+    assert all(loc != mcm.FINAL_LOCATION for loc, _, _ in partial.nodes[:-1])
+    assert regions.ta_reach(ta, targets)
+    # The initial region of a target location is the whole partial graph.
+    assert len(regions.build_region_graph(ta, frozenset({ta.init})).nodes) == 1
+    # Edge 1 of the initial region is not taken once edge 0 reached l1.
+    nodes = regions.build_region_graph(inst(fork()), frozenset({"l1"})).nodes
+    assert [loc for loc, _, _ in nodes] == ["l0", "l0", "l1"]
 
 
 def test_reach_path_concatenates_edge_ids():

@@ -318,3 +318,22 @@ def test_lp_count_on_a_divergent_draw_is_pinned(monkeypatch):
     rays = outcomes["escape_point"]
     assert (len(rays), sum(p is not None for p in rays)) == (855, 716)
     assert (len(outcomes["includes"]), sum(outcomes["includes"])) == (139, 0)
+
+
+def test_lp_solves_on_a_divergent_draw_are_pinned(monkeypatch):
+    """Exact simplex solves of one divergent draw from cold caches.
+    Minimization drops nonnegativity-implied rows without one, and no
+    emptiness test follows a minimization."""
+    for cache in (poly._ineqs_empty, poly._minimized_ineqs):
+        cache.cache_clear()
+    solves = []
+
+    def counted(ineqs, original=poly._satisfiable):
+        solves.append(ineqs)
+        return original(ineqs)
+
+    monkeypatch.setattr(poly, "_satisfiable", counted)
+    result = symbolic.explore(random_bounded_pta(random.Random(DIVERGENT)),
+                              Budget(max_states=150))
+    assert (len(result.states), result.status) == (150, symbolic.BUDGET_EXCEEDED)
+    assert len(solves) == 2075
