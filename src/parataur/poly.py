@@ -10,6 +10,13 @@ variables, since clock and parameter valuations live in the nonnegative
 rationals.  All operations are exact; the only quantifier elimination used
 anywhere is Fourier-Motzkin, with the usual rule that a combined inequality
 is strict iff either parent is strict.
+
+Linear programs run on an exact fraction-free simplex, split in two: phase
+1 finds a feasible dictionary, and phase 2 maximizes a goal from one.
+Emptiness chains the two.  Minimization and ``includes`` test whether a
+system implies a row by phase 2 alone, from one phase 1 of the system's
+closure per polyhedron; only a tie on a strict row needs one more
+emptiness test.
 """
 
 from __future__ import annotations
@@ -195,30 +202,43 @@ def _eliminate(ineqs: Iterable[LinIneq], var: str) -> list[LinIneq]:
 
 
 # All variables (clocks, parameters, the elapse variable) are nonnegative,
-# so satisfiability runs over the nonnegative orthant.  Strict faces are
+# so every LP runs over the nonnegative orthant, and a row that
+# nonnegativity alone implies is left out of its tableau.  Strict faces are
 # handled by maximizing a slack eps shared by every strict row: the system
 # has a point iff the relaxation is feasible with eps > 0.
 
+_EPS = "__eps"
 
-def _simplex_max(rows: list[list[int]], rhs: list[int],
-                 goal: list[int]) -> Fraction | None:
-    """Maximize goal.x subject to rows.x <= rhs, x >= 0, over integer data
-    (exact dictionary simplex with Bland's rule).  Returns None when
-    infeasible; the goal must be bounded above on the feasible set.
 
-    Pivoting is fraction-free (Bareiss 1968): every dictionary entry is an
-    int numerator over one common denominator den > 0, the absolute
-    determinant of the current basis, so each pivot divides exactly by the
-    previous den.
-    Each dictionary row carries its constant as the last entry."""
-    n = len(goal)
-    nonbasic = list(range(n))
-    basis = list(range(n, n + len(rows)))
-    tab = [[-v for v in row] + [b] for row, b in zip(rows, rhs)]
-    den = 1
+def _orthant_implied(i: LinIneq) -> bool:
+    """Nonnegativity alone implies the row: no coefficient is positive and
+    the constant is negative, or zero on a non-strict row."""
+    return all(c <= 0 for _, c in i.coeffs) and (
+        i.constant < 0 or (i.constant == 0 and not i.strict))
 
-    def pivot(r: int, e: int, obj: list[int]) -> None:
-        nonlocal den
+
+class _Dictionary:
+    """A feasible dictionary of closed rows t + c <= 0 over x >= 0, for the
+    exact simplex with Bland's rule.  Variables are numbered: the columns
+    (cols maps their names), one slack per row, then any variable added
+    later.  Each basic variable is a row of ints, its constant last, over
+    one common denominator den > 0, the absolute determinant of the basis:
+    pivoting is fraction-free (Bareiss 1968), so each pivot divides exactly
+    by the previous den."""
+
+    __slots__ = ("cols", "tab", "basis", "nonbasic", "den", "top")
+
+    def __init__(self, cols: dict[str, int], tab: list[list[int]],
+                 basis: list[int], nonbasic: list[int], den: int, top: int):
+        self.cols, self.tab, self.basis = cols, tab, basis
+        self.nonbasic, self.den, self.top = nonbasic, den, top
+
+    def copy(self) -> "_Dictionary":
+        return _Dictionary(self.cols, [r[:] for r in self.tab], self.basis[:],
+                           self.nonbasic[:], self.den, self.top)
+
+    def pivot(self, r: int, e: int, obj: list[int]) -> None:
+        tab, den = self.tab, self.den
         prow = tab[r]
         sign = 1 if prow[e] > 0 else -1
         q = sign * prow[e]
@@ -229,18 +249,24 @@ def _simplex_max(rows: list[list[int]], rhs: list[int],
         new = [-sign * v for v in prow]
         new[e] = sign * den
         tab[r] = new
-        den = q
-        basis[r], nonbasic[e] = nonbasic[e], basis[r]
+        self.den = q
+        self.basis[r], self.nonbasic[e] = self.nonbasic[e], self.basis[r]
 
-    def run(obj: list[int]) -> Fraction:
+    def run(self, obj: list[int], cap: int | None = None) -> bool:
+        """Pivot until obj, a row over den like the others, is optimal
+        (True) or unbounded (False); given cap, stop (True) as soon as its
+        value exceeds cap."""
+        tab, basis, nonbasic = self.tab, self.basis, self.nonbasic
         while True:
+            if cap is not None and obj[-1] > cap * self.den:
+                return True
             enter = None
             for j in range(len(nonbasic)):
                 if obj[j] > 0 and (enter is None
                                    or nonbasic[j] < nonbasic[enter]):
                     enter = j
             if enter is None:
-                return Fraction(obj[-1], den)
+                return True
             # Ratio test row[-1] / -row[enter], compared by cross-multiplying.
             leave = None
             for i, row in enumerate(tab):
@@ -252,39 +278,46 @@ def _simplex_max(rows: list[list[int]], rhs: list[int],
                             and basis[i] < basis[leave]):
                         leave, best_b, best_a = i, b, a
             if leave is None:
-                raise InternalError("simplex objective unbounded")
-            pivot(leave, enter, obj)
+                return False
+            self.pivot(leave, enter, obj)
 
-    if any(row[-1] < 0 for row in tab):
-        aux = n + len(tab)
-        nonbasic.append(aux)
-        for row in tab:
-            row.insert(n, 1)
-        obj = [0] * n + [-1, 0]
-        worst = min(range(len(tab)), key=lambda i: (tab[i][-1], basis[i]))
-        pivot(worst, n, obj)
-        if run(obj) < 0:
+    def maximize(self, goal: Iterable[tuple[str, int]],
+                 cap: int | None = None) -> Fraction | None:
+        """Phase 2: pivot to the maximum of the goal's terms and return it,
+        or None when they are unbounded above (as they are when a positive
+        coefficient names no column); given cap, any value above cap may be
+        returned instead of the maximum."""
+        cost: dict[int, int] = {}
+        for name, c in goal:
+            j = self.cols.get(name)
+            if j is not None:
+                cost[j] = c
+            elif c > 0:
+                return None
+        obj = [self.den * cost.get(v, 0) for v in self.nonbasic] + [0]
+        for vid, row in zip(self.basis, self.tab):
+            c = cost.get(vid)
+            if c:
+                obj = [o + c * t for o, t in zip(obj, row)]
+        if not self.run(obj, cap):
             return None
-        if aux in basis:
-            # The aux row always has a nonzero nonbasic entry: were it all
-            # zero, the slack columns (an identity block) would force the
-            # row of the basis inverse to vanish, yet it maps aux to 1.
-            r = basis.index(aux)
-            pivot(r, next(e for e in range(len(nonbasic)) if tab[r][e]), obj)
-        e = nonbasic.index(aux)
-        del nonbasic[e]
-        for row in tab:
-            del row[e]
+        return Fraction(obj[-1], self.den)
 
-    def cost(vid: int) -> int:
-        return goal[vid] if vid < n else 0
-
-    obj = [cost(v) * den for v in nonbasic] + [0]
-    for vid, row in zip(basis, tab):
-        c = cost(vid)
-        if c:
-            obj = [o + c * t for o, t in zip(obj, row)]
-    return run(obj)
+    def lift(self, k: int) -> None:
+        """Drop the bound of row k: delete the dictionary row of its slack
+        when basic, else free the nonbasic slack s as s - s' with a new
+        column s' >= 0.  The dictionary stays feasible for the other rows,
+        and den stays the determinant of its basis."""
+        vid = len(self.cols) + k
+        if vid in self.basis:
+            r = self.basis.index(vid)
+            del self.basis[r], self.tab[r]
+        else:
+            e = self.nonbasic.index(vid)
+            for t in self.tab:
+                t.insert(-1, -t[e])
+            self.nonbasic.append(self.top)
+            self.top += 1
 
 
 def _pivot_row(row: list[int], prow: list[int], e: int, sign: int, q: int,
@@ -299,35 +332,59 @@ def _pivot_row(row: list[int], prow: list[int], e: int, sign: int, q: int,
     return out
 
 
-def _satisfiable(ineqs: tuple[LinIneq, ...]) -> bool:
-    names: list[str] = sorted({n for i in ineqs for n, _ in i.coeffs})
-    col = {name: j for j, name in enumerate(names)}
-    has_strict = False
-    rows = []
-    rhs = []
-    for i in ineqs:
-        if i.trivially_false:
-            return False
-        if i.trivially_true:
-            continue
-        row = [0] * (len(names) + 1)
+def _feasible(rows: list[LinIneq], eps: bool = False) -> _Dictionary | None:
+    """Phase 1: a feasible dictionary of the rows, each closed to
+    t + c <= 0, or None when they have no common point.  With eps, a last
+    column eps <= 1 is added and each strict row reads t + c + eps <= 0
+    instead."""
+    names = sorted({name for i in rows for name, _ in i.coeffs})
+    if eps:
+        names.append(_EPS)
+    n = len(names)
+    cols = {name: j for j, name in enumerate(names)}
+    tab = []
+    for i in rows:
+        row = [0] * n + [-i.constant]
         for name, c in i.coeffs:
-            row[col[name]] = c
-        if i.strict:
-            has_strict = True
-            row[len(names)] = 1
-        rows.append(row)
-        rhs.append(-i.constant)
-    if not rows:
-        return True
-    if not has_strict:
-        rows = [row[:-1] for row in rows]
-        return _simplex_max(rows, rhs, [0] * len(names)) is not None
-    rows.append([0] * len(names) + [1])
-    rhs.append(1)
-    goal = [0] * len(names) + [1]
-    opt = _simplex_max(rows, rhs, goal)
-    return opt is not None and opt > 0
+            row[cols[name]] = -c
+        if eps and i.strict:
+            row[-2] = -1
+        tab.append(row)
+    if eps:
+        tab.append([0] * (n - 1) + [-1, 1])
+    aux = n + len(tab)
+    d = _Dictionary(cols, tab, list(range(n, aux)), list(range(n)), 1, aux + 1)
+    if any(row[-1] < 0 for row in tab):
+        d.nonbasic.append(aux)
+        for row in tab:
+            row.insert(n, 1)
+        obj = [0] * n + [-1, 0]
+        worst = min(range(len(tab)), key=lambda i: (tab[i][-1], d.basis[i]))
+        d.pivot(worst, n, obj)
+        d.run(obj)
+        if obj[-1] < 0:
+            return None
+        if aux in d.basis:
+            # The aux row always has a nonzero nonbasic entry: were it all
+            # zero, the slack columns (an identity block) would force the
+            # row of the basis inverse to vanish, yet it maps aux to 1.
+            r = d.basis.index(aux)
+            d.pivot(r, next(e for e in range(len(d.nonbasic)) if tab[r][e]),
+                    obj)
+        e = d.nonbasic.index(aux)
+        del d.nonbasic[e]
+        for row in tab:
+            del row[e]
+    return d
+
+
+def _satisfiable(ineqs: tuple[LinIneq, ...]) -> bool:
+    if any(i.trivially_false for i in ineqs):
+        return False
+    rows = [i for i in ineqs if not _orthant_implied(i)]
+    strict = any(i.strict for i in rows)
+    d = _feasible(rows, strict)
+    return d is not None and (not strict or d.maximize(((_EPS, 1),), 0) > 0)
 
 
 @lru_cache(maxsize=65536)
@@ -335,15 +392,34 @@ def _ineqs_empty(ineqs: tuple[LinIneq, ...]) -> bool:
     return not _satisfiable(ineqs)
 
 
+def _closure(rows: list[LinIneq]) -> _Dictionary:
+    """Phase 1 on the closure of rows already found to have a point."""
+    d = _feasible(rows)
+    if d is None:
+        raise InternalError("the closure of nonempty {"
+                            + ", ".join(i.render() for i in rows) + "} is empty")
+    return d
+
+
+def _implied(d: _Dictionary, i: LinIneq, system: Iterable[LinIneq]) -> bool:
+    """The nonempty system implies i: t + c (<|<=) 0, within the orthant.
+    d is a feasible dictionary of the system's closure, on which phase 2
+    finds M, the supremum of t over the system (pivoting d in place).  The
+    row is implied when M < -c, or M = -c and i is closed.  On a tie with a
+    strict i, it is implied unless the system attains the bound: one exact
+    emptiness test."""
+    bound = -i.constant
+    top = d.maximize(i.coeffs, bound)
+    if top is None or top > bound:
+        return False
+    if top < bound or not i.strict:
+        return True
+    return _ineqs_empty(tuple(sorted(set(system) | {i.negated()},
+                                     key=_SORT_KEY)))
+
+
 _FALSE = lin({}, 1, False)
 _REDUCE_ABOVE = 18
-
-
-def _orthant_implied(i: LinIneq) -> bool:
-    """Nonnegativity alone implies the row: no coefficient is positive and
-    the constant is negative, or zero on a non-strict row."""
-    return all(c <= 0 for _, c in i.coeffs) and (
-        i.constant < 0 or (i.constant == 0 and not i.strict))
 
 
 @lru_cache(maxsize=65536)
@@ -351,18 +427,31 @@ def _minimized_ineqs(ineqs: tuple[LinIneq, ...]) -> tuple[LinIneq, ...]:
     """Drop every inequality implied by the rest (within the orthant).
     Wide rows are tried first so the kept description prefers the simple
     single-variable and difference faces.  A row that nonnegativity implies
-    is dropped without the LP, which could only find its negation empty.
+    is dropped without an LP.  The others are tested on one feasible
+    dictionary of the closure (one phase 1): the row's bound is lifted from
+    a copy, and phase 2 decides whether the rows left imply it; when they
+    do, the copy is kept for the rows that follow.
     The result is the single false row exactly when ineqs is empty."""
     if _ineqs_empty(ineqs):
         return (_FALSE,)
+    order = sorted(ineqs, key=lambda q: (-len(q.coeffs),) + _SORT_KEY(q))
+    rows = [i for i in order if not _orthant_implied(i)]
     work = list(ineqs)
-    for i in sorted(ineqs, key=lambda q: (-len(q.coeffs),) + _SORT_KEY(q)):
+    base = None
+    k = -1
+    for i in order:
         if len(work) == 1:
             break
-        others = [q for q in work if q != i]
-        if _orthant_implied(i) or _ineqs_empty(
-                tuple(sorted(others + [i.negated()], key=_SORT_KEY))):
-            work = others
+        if not _orthant_implied(i):
+            k += 1
+            if base is None:
+                base = _closure(rows)
+            d = base.copy()
+            d.lift(k)
+            if not _implied(d, i, (q for q in work if q is not i)):
+                continue
+            base = d
+        work = [q for q in work if q is not i]
     return tuple(work)
 
 
@@ -470,16 +559,27 @@ def includes(outer: Polyhedron, inner: Polyhedron) -> bool:
         raise InternalError("universe mismatch")
     if _ineqs_empty(inner.ineqs):
         return True
+    base = None
     for i in outer.ineqs:
-        system = tuple(sorted(set(inner.ineqs) | {i.negated()}, key=_SORT_KEY))
-        if not _ineqs_empty(system):
+        if _orthant_implied(i):
+            continue
+        if base is None:
+            base = _closure([q for q in inner.ineqs if not _orthant_implied(q)])
+        if not _implied(base, i, inner.ineqs):
             return False
     return True
 
 
-def quick_inclusion(outer: Polyhedron, inner: Polyhedron) -> bool | None:
+def face_map(c: Polyhedron) -> dict[tuple, LinIneq]:
+    """The faces of c by coefficient vector, for quick_inclusion."""
+    return {i.coeffs: i for i in c.ineqs}
+
+
+def quick_inclusion(outer: Polyhedron,
+                    inner_faces: Mapping[tuple, LinIneq]) -> bool | None:
     """Decide inner <= outer by matching coefficient vectors alone, or None
-    when some outer face has no matched inner face.
+    when some outer face has no matched inner face; inner_faces is
+    face_map(inner), built once for all the outer polyhedra it meets.
 
     The False answer requires inner to be minimized and nonempty: each of
     its faces is then supporting (attained when closed, approached when
@@ -487,10 +587,9 @@ def quick_inclusion(outer: Polyhedron, inner: Polyhedron) -> bool | None:
     proves a point of inner escapes.  The True answer is sound for any
     operands, being a face by face implication.
     """
-    by_coeffs = {i.coeffs: i for i in inner.ineqs}
     decided = True
     for o in outer.ineqs:
-        i = by_coeffs.get(o.coeffs)
+        i = inner_faces.get(o.coeffs)
         if i is None:
             decided = False
             continue
@@ -796,17 +895,24 @@ def _interval_of(ineqs: list[LinIneq], var: str):
 def sample_point(c: Polyhedron) -> dict[str, Fraction] | None:
     """A rational point of c, or None when empty.  Each coordinate sits at
     the midpoint of its feasible interval (lower bound + 1 when unbounded
-    above; the boundary when the interval is a single point)."""
-    if is_empty(c):
-        return None
+    above; the boundary when the interval is a single point).  Emptiness
+    needs no LP: Fourier-Motzkin projection is exact, so c is empty iff its
+    projection on the first variable is, that is iff a row of it is false
+    or its interval is empty."""
     point: dict[str, Fraction] = {}
     work = list(make(c.clocks, c.params, c.ineqs).ineqs)
+    if any(i.trivially_false for i in work):
+        return None
     order = list(c.vars)
     for k, v in enumerate(order):
         narrowed = list(work)
         for other in order[k + 1:]:
             narrowed = _eliminate(narrowed, other)
         lo, hi = _interval_of(narrowed, v)
+        if k == 0 and (any(i.trivially_false for i in narrowed) or (
+                hi is not _INF and (hi[0] < lo[0] or (
+                    hi[0] == lo[0] and (hi[1] or lo[1]))))):
+            return None
         if hi is _INF:
             value = lo[0] + 1
         elif lo[0] == hi[0]:

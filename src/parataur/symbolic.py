@@ -126,10 +126,11 @@ def explore(pta: Pta, budget: Budget = Budget(),
         # tend to miss the same point.  Only the exact LP of includes
         # answers that a candidate includes.
         inner = state.constraint
+        inner_faces = poly.face_map(inner)
         probes: list[poly.Probe] = []
         for idx in by_location.get(state.location, ()):
             other = result.states[idx].constraint
-            quick = poly.quick_inclusion(other, inner)
+            quick = poly.quick_inclusion(other, inner_faces)
             if quick is not None:
                 if quick:
                     return idx
@@ -137,13 +138,12 @@ def explore(pta: Pta, budget: Budget = Budget(),
             if not probes:
                 sample = poly.probe_of(poly.sample_point(inner))
                 probes.append(sample)
-                normals = {i.coeffs for i in inner.ineqs}
             k = next((k for k, p in enumerate(probes)
                       if not poly.probe_holds(other.ineqs, p)), None)
             if k is not None:
                 probes.insert(0, probes.pop(k))
                 continue
-            faces = [o for o in other.ineqs if o.coeffs not in normals]
+            faces = [o for o in other.ineqs if o.coeffs not in inner_faces]
             escape = poly.escape_point(other, inner, faces, sample)
             if escape is not None:
                 probes.insert(0, escape)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from parataur import poly
-from parataur.errors import NotAZoneError, UnboundedError
+from parataur.errors import InternalError, NotAZoneError, UnboundedError
 from parataur.model import Interval, atom, eq_atoms
 from conftest import equal
 
@@ -274,21 +274,21 @@ def test_quick_inclusion_accepts_face_by_face():
     outer = zone(XY, (), atom("x", "<=", constant=3))
     inner = zone(XY, (), atom("x", "<=", constant=2),
                  atom("y", "<=", constant=1))
-    assert poly.quick_inclusion(outer, inner) is True
-    assert poly.quick_inclusion(outer, outer) is True
+    assert poly.quick_inclusion(outer, poly.face_map(inner)) is True
+    assert poly.quick_inclusion(outer, poly.face_map(outer)) is True
     strict_inner = zone(XY, (), atom("x", "<", constant=3),
                         atom("y", "<=", constant=1))
-    assert poly.quick_inclusion(outer, strict_inner) is True
+    assert poly.quick_inclusion(outer, poly.face_map(strict_inner)) is True
 
 
 def test_quick_inclusion_rejects_on_a_tighter_face():
     outer = zone(X, (), atom("x", "<=", constant=2))
     inner = poly.minimized(zone(X, (), atom("x", "<=", constant=3)))
-    assert poly.quick_inclusion(outer, inner) is False
+    assert poly.quick_inclusion(outer, poly.face_map(inner)) is False
     assert not poly.includes(outer, inner)
     open_outer = zone(X, (), atom("x", "<", constant=2))
     closed = poly.minimized(zone(X, (), atom("x", "<=", constant=2)))
-    assert poly.quick_inclusion(open_outer, closed) is False
+    assert poly.quick_inclusion(open_outer, poly.face_map(closed)) is False
     assert not poly.includes(open_outer, closed)
 
 
@@ -296,7 +296,7 @@ def test_quick_inclusion_undecided_without_matched_faces():
     outer = poly.make(XY, (), [poly.lin({"x": 1, "y": 1}, -4, False)])
     inner = zone(XY, (), atom("x", "<=", constant=1),
                  atom("y", "<=", constant=1))
-    assert poly.quick_inclusion(outer, inner) is None
+    assert poly.quick_inclusion(outer, poly.face_map(inner)) is None
     assert poly.includes(outer, inner)
 
 
@@ -383,6 +383,75 @@ def greedy_minimization(ineqs):
     return tuple(work)
 
 
+def rows_of(*rows):
+    """Rows (coefficients over x, y; constant; strict), sorted."""
+    return tuple(sorted((poly.lin(dict(zip(XY, coeffs)), constant, strict)
+                         for coeffs, constant, strict in rows),
+                        key=poly._SORT_KEY))
+
+
+# Warm-start cases of minimization, each with the rows it keeps.
+DEGENERATE = rows_of(((-2, 0), 1, False), ((-1, 0), 1, False),
+                     ((-1, -1), 1, False))
+OPEN_SQUARE = rows_of(((1, 0), -1, True), ((0, 1), -1, True),
+                      ((1, 1), -2, True))
+CLOSED_SQUARE = rows_of(((1, 0), -1, False), ((0, 1), -1, False),
+                        ((1, 1), -2, True))
+WARM_CASES = [
+    # x >= 1 implies 2x >= 1 and x + y >= 1.  Phase 1 ends at the
+    # degenerate vertex (1, 0), where x + y >= 1 is tight and nonbasic.
+    (DEGENERATE, rows_of(((-1, 0), 1, False))),
+    # x + y < 2 ties at the corner (1, 1), which x < 1, y < 1 never reach.
+    (OPEN_SQUARE, rows_of(((1, 0), -1, True), ((0, 1), -1, True))),
+    # x <= 1 and y <= 1 reach the corner, so x + y < 2 stays.
+    (CLOSED_SQUARE, CLOSED_SQUARE),
+    # Nothing bounds y - x above once y - x <= 1 is lifted.
+    (rows_of(((-1, 1), -1, False), ((-1, 0), 1, False)),
+     rows_of(((-1, 1), -1, False), ((-1, 0), 1, False))),
+    # With y = 0, x + y <= 1 and x <= 1 imply each other: once the first
+    # is dropped, the dictionary must lose its bound before x <= 1 is tested.
+    (rows_of(((1, 1), -1, False), ((1, 0), -1, False), ((0, 1), 0, False)),
+     rows_of(((1, 0), -1, False), ((0, 1), 0, False))),
+    # 2x <= 5 follows from x <= 1 and -y <= 0 from nonnegativity.
+    (rows_of(((1, 0), -1, False), ((2, 0), -5, False), ((0, -1), 0, False)),
+     rows_of(((1, 0), -1, False))),
+]
+
+
+def test_minimization_warm_starts_from_one_dictionary(monkeypatch):
+    """Each row is tested on a copy of the closure's dictionary with the
+    row's bound lifted; the redundant wide row of DEGENERATE is lifted
+    while its slack is nonbasic, which adds a column."""
+    lifted = []
+    lift = poly._Dictionary.lift
+
+    def recorded(d, k):
+        lifted.append(len(d.cols) + k in d.nonbasic)
+        lift(d, k)
+
+    monkeypatch.setattr(poly._Dictionary, "lift", recorded)
+    for ineqs, kept in WARM_CASES:
+        poly._minimized_ineqs.cache_clear()
+        lifted.clear()
+        assert poly._minimized_ineqs(ineqs) == kept
+        assert greedy_minimization(ineqs) == kept
+        if ineqs == DEGENERATE:
+            assert lifted[0]
+
+
+def test_an_empty_closure_of_a_nonempty_system_raises(monkeypatch):
+    monkeypatch.setattr(poly, "_ineqs_empty", lambda ineqs: False)
+    split = rows_of(((1, 0), -1, False), ((-1, 0), 2, False),
+                    ((0, 1), -1, False))
+    poly._minimized_ineqs.cache_clear()
+    with pytest.raises(InternalError):
+        poly._minimized_ineqs(split)
+    outer = poly.make(XY, (), [poly.lin({"x": 1, "y": 1}, -1, False)])
+    with pytest.raises(InternalError):
+        poly.includes(outer, poly.Polyhedron(XY, (), split))
+    poly._minimized_ineqs.cache_clear()
+
+
 def test_minimization_equals_one_lp_per_row():
     """Rows that nonnegativity implies are dropped without an LP, exactly
     where the LP drops them; -x - p < 0 is not one of them, the origin
@@ -404,6 +473,7 @@ def test_minimization_equals_one_lp_per_row():
         systems.append(tuple(sorted(set(rows), key=poly._SORT_KEY)))
     systems.append(poly.make(("x", "y"), P, []).ineqs)
     systems.append(poly.make(X, P, [poly.lin({"x": 1}, -1, False)]).ineqs)
+    systems += [ineqs for ineqs, _ in WARM_CASES]
     lengths = set()
     for ineqs in systems:
         got = poly._minimized_ineqs(ineqs)
@@ -417,6 +487,57 @@ def test_minimization_equals_one_lp_per_row():
         (special[2], special[3], poly.lin({"x": 1}, -3, False)),
         key=poly._SORT_KEY)))
     assert special[3] in kept and special[2] not in kept
+
+
+def random_rows(rng, names, count):
+    return [poly.lin({v: rng.randint(-2, 2) for v in names},
+                     rng.randint(-3, 3), rng.random() < 0.4)
+            for _ in range(count)]
+
+
+def test_includes_equals_one_lp_per_outer_row():
+    """includes against the exact LP of inner and each outer row negated.
+    Half the outer rows are sums of two inner rows, loosened by 0 or 1, so
+    many are implied and many tie on a strict face."""
+    names = ("x", "y", "p")
+    rng = random.Random(20261021)
+    answers = []
+    for _ in range(300):
+        inner = poly.make(("x", "y"), P, random_rows(rng, names, rng.randint(1, 4)))
+        rows = random_rows(rng, names, rng.randint(0, 2))
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(inner.ineqs), rng.choice(inner.ineqs)
+            coeffs = dict(a.coeffs)
+            for v, c in b.coeffs:
+                coeffs[v] = coeffs.get(v, 0) + c
+            rows.append(poly.lin(coeffs, a.constant + b.constant
+                                 - rng.randint(0, 1), rng.random() < 0.5))
+        outer = poly.make(("x", "y"), P, rows)
+        want = not poly._satisfiable(inner.ineqs) or all(
+            not poly._satisfiable(inner.ineqs + (o.negated(),))
+            for o in outer.ineqs)
+        assert poly.includes(outer, inner) == want, (outer, inner)
+        answers.append(want)
+    assert 50 < sum(answers) < 250
+
+
+def test_sample_point_is_none_exactly_when_empty():
+    """Emptiness read from the first projection, on seeded systems with
+    strict faces, empty ones among them; a point is always one of c."""
+    names = ("x", "y", "p")
+    rng = random.Random(20261022)
+    empty = 0
+    for _ in range(300):
+        c = poly.make(("x", "y"), P, random_rows(rng, names, rng.randint(1, 5)))
+        point = poly.sample_point(c)
+        assert (point is None) == poly.is_empty(c), c
+        if point is None:
+            empty += 1
+        else:
+            assert poly.contains(c, point)
+    assert 30 < empty < 270
+    assert poly.sample_point(poly.make((), (), [poly.lin({}, 0, True)])) is None
+    assert poly.sample_point(poly.make((), (), [])) == {}
 
 
 def test_zone_shape_accepts_guards_flags_sums():
