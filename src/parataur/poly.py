@@ -9,13 +9,15 @@ arithmetic only.  Every polyhedron materializes nonnegativity of all its
 variables, since clock and parameter valuations live in the nonnegative
 rationals.  All operations are exact; the only quantifier elimination used
 anywhere is Fourier-Motzkin, with the usual rule that a combined inequality
-is strict iff either parent is strict.
+is strict iff either parent is strict.  A sample point takes one chain of
+projections and reads its coordinates back from them in integers.
 
 Linear programs run on an exact fraction-free simplex, split in two: phase
 1 finds a feasible dictionary, and phase 2 maximizes a goal from one.
 Emptiness chains the two.  Minimization and ``includes`` test whether a
 system implies a row by phase 2 alone, from one phase 1 of the system's
-closure per polyhedron; only a tie on a strict row needs one more
+closure per polyhedron; that phase 1 also decides the emptiness of a
+system with no strict row, and only a tie on a strict row needs one more
 emptiness test.
 """
 
@@ -128,12 +130,13 @@ def _dominance_prune(ineqs: Iterable[LinIneq]) -> tuple[LinIneq, ...]:
     """Keep only the tightest inequality per coefficient vector."""
     best: dict[tuple, LinIneq] = {}
     for i in ineqs:
-        if i.trivially_true:
+        if not i.coeffs and i.trivially_true:
             continue
         cur = best.get(i.coeffs)
         if cur is None or (i.constant, i.strict) > (cur.constant, cur.strict):
             best[i.coeffs] = i
-    return tuple(sorted(best.values(), key=_SORT_KEY))
+    # One row per vector, so the vectors alone give the _SORT_KEY order.
+    return tuple(best[v] for v in sorted(best))
 
 
 @lru_cache(maxsize=1024)
@@ -431,13 +434,20 @@ def _minimized_ineqs(ineqs: tuple[LinIneq, ...]) -> tuple[LinIneq, ...]:
     dictionary of the closure (one phase 1): the row's bound is lifted from
     a copy, and phase 2 decides whether the rows left imply it; when they
     do, the copy is kept for the rows that follow.
+    When no row of the tableau is strict, that phase 1 also decides
+    emptiness; otherwise an exact emptiness test comes first.
     The result is the single false row exactly when ineqs is empty."""
-    if _ineqs_empty(ineqs):
-        return (_FALSE,)
     order = sorted(ineqs, key=lambda q: (-len(q.coeffs),) + _SORT_KEY(q))
     rows = [i for i in order if not _orthant_implied(i)]
+    if any(i.strict for i in rows):
+        if _ineqs_empty(ineqs):
+            return (_FALSE,)
+        base = None
+    else:
+        base = _feasible(rows)
+        if base is None:
+            return (_FALSE,)
     work = list(ineqs)
-    base = None
     k = -1
     for i in order:
         if len(work) == 1:
@@ -852,19 +862,15 @@ def has_integer_point(c: Polyhedron, bounds: Mapping[str, Interval]) -> bool:
     return False
 
 
-def _fixed(ineqs: Iterable[LinIneq],
-           values: Mapping[str, Fraction | int]) -> list[LinIneq]:
-    """The inequalities with some variables fixed, less the trivially true.
-    The rational constant left by the substitution is cleared of its
-    denominator, which scales the row by a positive integer."""
+def _fixed(ineqs: Iterable[LinIneq], values: Mapping[str, int]) -> list[LinIneq]:
+    """The inequalities with some variables fixed to integers, less the
+    trivially true."""
     out = []
     for i in ineqs:
         if any(name in values for name, _ in i.coeffs):
-            const = i.constant + sum(cf * values[name] for name, cf in i.coeffs
-                                     if name in values)
-            den = const.denominator
-            i = lin({name: cf * den for name, cf in i.coeffs
-                     if name not in values}, const.numerator, i.strict)
+            i = lin({name: cf for name, cf in i.coeffs if name not in values},
+                    i.constant + sum(cf * values[name] for name, cf in i.coeffs
+                                     if name in values), i.strict)
         if not i.trivially_true:
             out.append(i)
     return out
@@ -874,53 +880,63 @@ def _fixed(ineqs: Iterable[LinIneq],
 # Deterministic sampling
 
 
-def _interval_of(ineqs: list[LinIneq], var: str):
-    """Bounds on var from inequalities mentioning only var."""
-    lo = (Fraction(0), False)
-    hi = _INF
-    for i in ineqs:
-        c = i.coeff(var)
-        if c == 0:
-            continue
-        value = Fraction(-i.constant, c)
-        if c > 0:
-            if hi is _INF or value < hi[0] or (value == hi[0] and i.strict):
-                hi = (value, i.strict)
-        else:
-            if value > lo[0] or (value == lo[0] and i.strict):
-                lo = (value, i.strict)
-    return lo, hi
-
-
 def sample_point(c: Polyhedron) -> dict[str, Fraction] | None:
     """A rational point of c, or None when empty.  Each coordinate sits at
     the midpoint of its feasible interval (lower bound + 1 when unbounded
-    above; the boundary when the interval is a single point).  Emptiness
-    needs no LP: Fourier-Motzkin projection is exact, so c is empty iff its
-    projection on the first variable is, that is iff a row of it is false
-    or its interval is empty."""
-    point: dict[str, Fraction] = {}
-    work = list(make(c.clocks, c.params, c.ineqs).ineqs)
-    if any(i.trivially_false for i in work):
+    above; the boundary when the interval is a single point).
+    Fourier-Motzkin eliminates the variables once, last first, and keeps
+    each projection: proj[k] is c projected on the first k + 1 variables.
+    Coordinate k's interval is read from proj[k] with the earlier
+    coordinates substituted as integer numerators over one common
+    denominator (den, num); projection commutes with substitution, so it is
+    exactly the set of values that extend the point within c.  Emptiness
+    needs no LP: c is empty iff proj[0] is, iff a row of it is false or its
+    interval is empty."""
+    proj = [list(make(c.clocks, c.params, c.ineqs).ineqs)]
+    if any(i.trivially_false for i in proj[0]):
         return None
-    order = list(c.vars)
-    for k, v in enumerate(order):
-        narrowed = list(work)
-        for other in order[k + 1:]:
-            narrowed = _eliminate(narrowed, other)
-        lo, hi = _interval_of(narrowed, v)
-        if k == 0 and (any(i.trivially_false for i in narrowed) or (
-                hi is not _INF and (hi[0] < lo[0] or (
-                    hi[0] == lo[0] and (hi[1] or lo[1]))))):
+    for v in reversed(c.vars[1:]):
+        proj.append(_eliminate(proj[-1], v))
+    proj.reverse()
+    den, num = 1, {}
+    point: dict[str, Fraction] = {}
+    for k, v in enumerate(c.vars):
+        lo, hi = (0, 1, False), None
+        for i in proj[k]:
+            a, s = 0, i.constant * den
+            for name, cf in i.coeffs:
+                if name == v:
+                    a = cf
+                else:
+                    s += cf * num[name]
+            # a*v + s/den (<|<=) 0 bounds v by the ratio -s / (a*den),
+            # kept as (n, d, strict) with d > 0.
+            if a > 0:
+                n, d = -s, a * den
+                if hi is None or n * hi[1] < hi[0] * d or (
+                        n * hi[1] == hi[0] * d and i.strict):
+                    hi = (n, d, i.strict)
+            elif a < 0:
+                n, d = s, -a * den
+                if n * lo[1] > lo[0] * d or (
+                        n * lo[1] == lo[0] * d and i.strict):
+                    lo = (n, d, i.strict)
+        gap = None if hi is None else hi[0] * lo[1] - lo[0] * hi[1]
+        if k == 0 and (any(i.trivially_false for i in proj[0]) or (
+                gap is not None and (gap < 0 or (
+                    gap == 0 and (hi[2] or lo[2]))))):
             return None
-        if hi is _INF:
-            value = lo[0] + 1
-        elif lo[0] == hi[0]:
-            value = lo[0]
+        if gap is None:
+            value = Fraction(lo[0] + lo[1], lo[1])
+        elif gap == 0:
+            value = Fraction(lo[0], lo[1])
         else:
-            value = (lo[0] + hi[0]) / 2
+            value = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
         point[v] = value
-        work = _fixed(work, {v: value})
-    if not contains(c, point):
+        scale = math.lcm(den, value.denominator)
+        num = {name: x * (scale // den) for name, x in num.items()}
+        num[v] = value.numerator * (scale // value.denominator)
+        den = scale
+    if not probe_holds(c.ineqs, (den, num)):
         raise InternalError(f"sample point {point} lies outside its polyhedron")
     return point

@@ -80,8 +80,6 @@ def succ(pta: Pta, state: SymbolicState, edge: Edge) -> SymbolicState | None:
             f"edge from {edge.source!r} applied at {state.location!r}")
     inv = pta.invariant(edge.target)
     c = poly.conjoin_guard(state.constraint, edge.guard)
-    if poly.is_empty(c):
-        return None
     c = poly.reset(c, edge.resets)
     c = poly.conjoin_guard(c, inv)
     c = poly.time_elapse(c)

@@ -440,12 +440,17 @@ def test_minimization_warm_starts_from_one_dictionary(monkeypatch):
 
 
 def test_an_empty_closure_of_a_nonempty_system_raises(monkeypatch):
+    """A strict system is first tested for emptiness, then closed; a closed
+    system takes its emptiness from the closure's own phase 1."""
     monkeypatch.setattr(poly, "_ineqs_empty", lambda ineqs: False)
     split = rows_of(((1, 0), -1, False), ((-1, 0), 2, False),
-                    ((0, 1), -1, False))
+                    ((0, 1), -1, True))
     poly._minimized_ineqs.cache_clear()
     with pytest.raises(InternalError):
         poly._minimized_ineqs(split)
+    closed = rows_of(((1, 0), -1, False), ((-1, 0), 2, False),
+                     ((0, 1), -1, False))
+    assert poly._minimized_ineqs(closed) == (poly._FALSE,)
     outer = poly.make(XY, (), [poly.lin({"x": 1, "y": 1}, -1, False)])
     with pytest.raises(InternalError):
         poly.includes(outer, poly.Polyhedron(XY, (), split))
@@ -540,6 +545,105 @@ def test_sample_point_is_none_exactly_when_empty():
     assert poly.sample_point(poly.make((), (), [])) == {}
 
 
+def quadratic_sample_point(c):
+    """The earlier sample_point, kept as an oracle: for each coordinate it
+    eliminates every later variable again, reads the interval in Fractions,
+    and substitutes the value into the rows.  Returns the point (or None)
+    and the rules that chose its coordinates."""
+    work = list(poly.make(c.clocks, c.params, c.ineqs).ineqs)
+    if any(i.trivially_false for i in work):
+        return None, set()
+    point, rules = {}, set()
+    for k, v in enumerate(c.vars):
+        narrowed = work
+        for other in c.vars[k + 1:]:
+            narrowed = poly._eliminate(narrowed, other)
+        lo, hi = (Fraction(0), False), None
+        for i in narrowed:
+            a = i.coeff(v)
+            if a == 0:
+                continue
+            value = Fraction(-i.constant, a)
+            if a > 0:
+                if hi is None or value < hi[0] or (value == hi[0] and i.strict):
+                    hi = (value, i.strict)
+            elif value > lo[0] or (value == lo[0] and i.strict):
+                lo = (value, i.strict)
+        if k == 0 and (any(i.trivially_false for i in narrowed) or (
+                hi is not None and (hi[0] < lo[0] or (
+                    hi[0] == lo[0] and (hi[1] or lo[1]))))):
+            return None, set()
+        if hi is None:
+            value, rule = lo[0] + 1, "unbounded"
+        elif lo[0] == hi[0]:
+            value, rule = lo[0], "point"
+        else:
+            value, rule = (lo[0] + hi[0]) / 2, "midpoint"
+        point[v] = value
+        rules.add(rule)
+        fixed = []
+        for i in work:
+            a = i.coeff(v)
+            if a:
+                const = i.constant + a * value
+                i = poly.lin({n: cf * const.denominator for n, cf in i.coeffs
+                              if n != v}, const.numerator, i.strict)
+            if not i.trivially_true:
+                fixed.append(i)
+        work = fixed
+    return point, rules
+
+
+def test_sample_point_equals_the_quadratic_oracle(monkeypatch):
+    """Equal points, or both None, on seeded systems over 0 to 4 variables
+    with strict faces, coefficients up to 3, equalities and empty systems;
+    the coordinates take every rule (unbounded, one point, midpoint).
+    sample_point eliminates n - 1 times and solves no LP."""
+    universes = [((), ()), (X, ()), ((), P), (X, P), (XY, P), (("x", "y", "z"), P)]
+    rng = random.Random(20261023)
+    eliminations = []
+
+    def counted(ineqs, var, original=poly._eliminate):
+        eliminations.append(var)
+        return original(ineqs, var)
+
+    def no_lp(*args):
+        raise AssertionError("sample_point solved an LP")
+
+    rules, empty, strict = set(), 0, 0
+    for _ in range(600):
+        clocks, params = rng.choice(universes)
+        names = clocks + params
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            used = rng.sample(names, rng.randint(0, min(3, len(names))))
+            rows.append(poly.lin({v: rng.randint(-3, 3) for v in used},
+                                 rng.randint(-4, 4), rng.random() < 0.4))
+        if rows and rng.random() < 0.3:
+            row = rng.choice(rows)
+            rows += [poly.lin(dict(row.coeffs), row.constant, False),
+                     poly.lin({v: -cf for v, cf in row.coeffs}, -row.constant,
+                              False)]
+        c = poly.make(clocks, params, rows)
+        want, used_rules = quadratic_sample_point(c)
+        eliminations.clear()
+        with monkeypatch.context() as m:
+            m.setattr(poly, "_eliminate", counted)
+            m.setattr(poly, "_feasible", no_lp)
+            m.setattr(poly, "_satisfiable", no_lp)
+            got = poly.sample_point(c)
+        assert got == want, c
+        if got is not None:
+            assert list(got) == list(c.vars)
+            assert all(type(x) is Fraction for x in got.values())
+            assert len(eliminations) == max(len(c.vars) - 1, 0), c
+        rules |= used_rules
+        empty += got is None
+        strict += any(i.strict for i in c.ineqs)
+    assert rules == {"unbounded", "point", "midpoint"}
+    assert 50 < empty < 550 and strict > 100
+
+
 def test_zone_shape_accepts_guards_flags_sums():
     ok = zone(XY, P, atom("x", "<=", ("p",)), eq_atoms("y", constant=1))
     assert poly.zone_violation(ok) is None
@@ -583,6 +687,34 @@ def test_lin_keeps_integer_rows_of_content_one():
 
 def test_sample_point_of_empty_is_none():
     assert poly.sample_point(zone(X, (), atom("x", "<", constant=0))) is None
+
+
+def test_make_keeps_the_tightest_row_per_vector_in_sort_order():
+    """One row per coefficient vector, the tightest, in _SORT_KEY order; a
+    row without coefficients stays only when it is false."""
+    rows = [poly.lin({"x": 1}, -2, False), poly.lin({"x": 1}, -1, True),
+            poly.lin({"x": 1}, -1, False), poly.lin({}, -1, False),
+            poly.lin({"x": 1, "y": -1}, 0, False), poly.lin({"y": -1}, 1, True),
+            poly.lin({}, 0, True)]
+    assert poly.make(XY, (), rows).ineqs == (
+        poly.lin({}, 0, True), poly.lin({"x": -1}, 0, False),
+        poly.lin({"x": 1}, -1, True), poly.lin({"x": 1, "y": -1}, 0, False),
+        poly.lin({"y": -1}, 1, True))
+    assert poly.make(X, (), rows[3:4]).ineqs == (poly.lin({"x": -1}, 0, False),)
+    rng = random.Random(20261024)
+    for _ in range(200):
+        got = poly.make(XY, P, random_rows(rng, ("x", "y", "p"), 6)).ineqs
+        assert got == tuple(sorted(got, key=poly._SORT_KEY))
+        assert len({i.coeffs for i in got}) == len(got)
+
+
+def test_a_sample_point_outside_its_polyhedron_raises(monkeypatch):
+    """With projections that lose every row, x is read as 1, and y <= x - 2
+    leaves y no value: the certificate catches the point."""
+    monkeypatch.setattr(poly, "_eliminate", lambda ineqs, var: [])
+    c = poly.make(XY, (), [poly.lin({"x": -1, "y": 1}, 2, False)])
+    with pytest.raises(InternalError):
+        poly.sample_point(c)
 
 
 def test_debug_strings_sorted_and_stable():

@@ -326,8 +326,10 @@ def test_lp_solves_on_a_divergent_draw_are_pinned(monkeypatch):
     """Exact emptiness solves of one divergent draw from cold caches.
     Minimization drops nonnegativity-implied rows without one and tests
     the other rows on one phase 1 of the closure, which takes no
-    _satisfiable call (a tie on a strict face does); no emptiness test
-    follows a minimization, and sample_point solves none."""
+    _satisfiable call (a tie on a strict face does); a system with no
+    strict row takes its emptiness from that phase 1 too.  succ tests no
+    guard for emptiness before the reset, no emptiness test follows a
+    minimization, and sample_point solves none."""
     for cache in (poly._ineqs_empty, poly._minimized_ineqs):
         cache.cache_clear()
     solves = []
@@ -340,4 +342,4 @@ def test_lp_solves_on_a_divergent_draw_are_pinned(monkeypatch):
     result = symbolic.explore(random_bounded_pta(random.Random(DIVERGENT)),
                               Budget(max_states=150))
     assert (len(result.states), result.status) == (150, symbolic.BUDGET_EXCEEDED)
-    assert len(solves) == 591
+    assert len(solves) == 139
