@@ -395,8 +395,15 @@ def _ineqs_empty(ineqs: tuple[LinIneq, ...]) -> bool:
     return not _satisfiable(ineqs)
 
 
-def _closure(rows: list[LinIneq]) -> _Dictionary:
-    """Phase 1 on the closure of rows already found to have a point."""
+def _base(ineqs: tuple[LinIneq, ...], rows: list[LinIneq]) -> _Dictionary | None:
+    """Phase 1 on the closure of rows, the rows of ineqs that nonnegativity
+    does not imply: a feasible dictionary, or None when ineqs is empty.
+    With no strict row, that phase 1 decides emptiness; otherwise an exact
+    emptiness test comes first."""
+    if not any(i.strict for i in rows):
+        return _feasible(rows)
+    if _ineqs_empty(ineqs):
+        return None
     d = _feasible(rows)
     if d is None:
         raise InternalError("the closure of nonempty {"
@@ -431,22 +438,14 @@ def _minimized_ineqs(ineqs: tuple[LinIneq, ...]) -> tuple[LinIneq, ...]:
     Wide rows are tried first so the kept description prefers the simple
     single-variable and difference faces.  A row that nonnegativity implies
     is dropped without an LP.  The others are tested on one feasible
-    dictionary of the closure (one phase 1): the row's bound is lifted from
+    dictionary of the closure (``_base``): the row's bound is lifted from
     a copy, and phase 2 decides whether the rows left imply it; when they
     do, the copy is kept for the rows that follow.
-    When no row of the tableau is strict, that phase 1 also decides
-    emptiness; otherwise an exact emptiness test comes first.
     The result is the single false row exactly when ineqs is empty."""
     order = sorted(ineqs, key=lambda q: (-len(q.coeffs),) + _SORT_KEY(q))
-    rows = [i for i in order if not _orthant_implied(i)]
-    if any(i.strict for i in rows):
-        if _ineqs_empty(ineqs):
-            return (_FALSE,)
-        base = None
-    else:
-        base = _feasible(rows)
-        if base is None:
-            return (_FALSE,)
+    base = _base(ineqs, [i for i in order if not _orthant_implied(i)])
+    if base is None:
+        return (_FALSE,)
     work = list(ineqs)
     k = -1
     for i in order:
@@ -454,8 +453,6 @@ def _minimized_ineqs(ineqs: tuple[LinIneq, ...]) -> tuple[LinIneq, ...]:
             break
         if not _orthant_implied(i):
             k += 1
-            if base is None:
-                base = _closure(rows)
             d = base.copy()
             d.lift(k)
             if not _implied(d, i, (q for q in work if q is not i)):
@@ -567,17 +564,9 @@ def includes(outer: Polyhedron, inner: Polyhedron) -> bool:
     """inner is a subset of outer (both may have open faces)."""
     if outer.vars != inner.vars:
         raise InternalError("universe mismatch")
-    if _ineqs_empty(inner.ineqs):
-        return True
-    base = None
-    for i in outer.ineqs:
-        if _orthant_implied(i):
-            continue
-        if base is None:
-            base = _closure([q for q in inner.ineqs if not _orthant_implied(q)])
-        if not _implied(base, i, inner.ineqs):
-            return False
-    return True
+    base = _base(inner.ineqs, [q for q in inner.ineqs if not _orthant_implied(q)])
+    return base is None or all(_implied(base, i, inner.ineqs)
+                               for i in outer.ineqs if not _orthant_implied(i))
 
 
 def face_map(c: Polyhedron) -> dict[tuple, LinIneq]:

@@ -6,12 +6,14 @@ ordering of the fractional parts of the non-above clocks (including which
 are exactly integer).  Guards are evaluated "holds throughout the region",
 which is exact because the per-clock maximal constants refine every atom.
 
-The graph is built forward from the initial region, so it holds only the
-regions reachable from it, numbered in discovery order.  A yes/no
+The graph is built forward from the initial region in one pass, so it
+holds only the regions reachable from it, in discovery order, each with
+the node and edge that discovered it; no query walks it again.  A yes/no
 reachability test (``ta_reach``) stops the build at the first region of a
 target location.  A reachability witness (``reach_path``) needs the whole
-graph: it leads to the target region that comes first in enumeration
-order, location order, then the order of ``_enumerate_shapes``.
+graph: it follows the parents back from the target region that comes
+first in location order, then the order of ``_enumerate_shapes``.  Lasso
+and deadlock queries build only through their location set.
 
 Queries answered on the graph: location reachability (with a discrete-edge
 witness), existence of a reachable cycle with at least one discrete edge,
@@ -147,12 +149,11 @@ def _shape_rank(maxc: Sequence[int], ints: Ints, fracs: Fracs) -> tuple:
 
 @dataclass
 class RegionGraph:
-    ta: Ta
     max_constants: tuple[int, ...]
     nodes: list[tuple[str, Ints, Fracs]]
     delay: dict[int, int]
     discrete_out: dict[int, list[tuple[int, int]]]
-    initial: int | None
+    parents: list[tuple[int, int | None] | None]
     _can_fire: dict[int, bool] = field(default_factory=dict)
 
     def successors(self, i: int) -> Iterator[tuple[int | None, int]]:
@@ -162,29 +163,9 @@ class RegionGraph:
         for edge_id, j in self.discrete_out.get(i, ()):
             yield edge_id, j
 
-    def reachable(self, within: frozenset[str] | None = None
-                  ) -> tuple[set[int], dict[int, tuple[int, int | None]]]:
-        parents: dict[int, tuple[int, int | None]] = {}
-        seen: set[int] = set()
-        if self.initial is None:
-            return seen, parents
-        if within is not None and self.nodes[self.initial][0] not in within:
-            return seen, parents
-        seen.add(self.initial)
-        frontier = [self.initial]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for edge_id, j in self.successors(i):
-                    if j in seen:
-                        continue
-                    if within is not None and self.nodes[j][0] not in within:
-                        continue
-                    seen.add(j)
-                    parents[j] = (i, edge_id)
-                    nxt.append(j)
-            frontier = nxt
-        return seen, parents
+    def reachable(self) -> tuple[set[int], list[tuple[int, int | None] | None]]:
+        """Every node (the build makes only reachable ones), and parents."""
+        return set(range(len(self.nodes))), self.parents
 
     def can_fire(self, i: int) -> bool:
         """A discrete edge is available from i or some delay descendant."""
@@ -200,12 +181,15 @@ class RegionGraph:
         return self._can_fire[i]
 
 
-def build_region_graph(ta: Ta, targets: frozenset[str] = frozenset()
-                       ) -> RegionGraph:
+def build_region_graph(ta: Ta, targets: frozenset[str] = frozenset(),
+                       within: frozenset[str] | None = None) -> RegionGraph:
     """Breadth-first from the initial region: each node adds its delay
-    successor, then its discrete successors in edge-id order.  The build
+    successor, then its discrete successors in edge-id order, and records
+    the node and edge (None for a delay) that discovered it.  The build
     stops as soon as it adds a region of a target location, which is then
-    the last node of a partial graph."""
+    the last node of a partial graph.  Under within, a region outside the
+    set is added when an edge enters it, so that the edge counts for
+    can_fire, but is never expanded."""
     maxc = _max_constants(ta)
     index_of_clock = {x: k for k, x in enumerate(ta.clocks)}
     invariant = {loc.name: loc.invariant for loc in ta.locations}
@@ -215,29 +199,34 @@ def build_region_graph(ta: Ta, targets: frozenset[str] = frozenset()
         edges_from.setdefault(e.source, []).append((edge_id, e, resets))
 
     nodes: list[tuple[str, Ints, Fracs]] = []
+    parents: list[tuple[int, int | None] | None] = []
     index: dict[tuple[str, Ints, Fracs], int] = {}
     reached = False
 
-    def node(key: tuple[str, Ints, Fracs]) -> int | None:
+    def node(key: tuple[str, Ints, Fracs],
+             parent: tuple[int, int | None] | None) -> int | None:
         nonlocal reached
         j = index.get(key)
         if j is None and _guard_holds(invariant[key[0]], index_of_clock,
                                       key[1], frozenset(key[2][0])):
             j = index[key] = len(nodes)
             nodes.append(key)
+            parents.append(parent)
             reached = key[0] in targets
         return j
 
     h = len(ta.clocks)
-    initial = node((ta.init, tuple([0] * h), (tuple(range(h)),)))
+    node((ta.init, tuple([0] * h), (tuple(range(h)),)), None)
     delay: dict[int, int] = {}
     discrete_out: dict[int, list[tuple[int, int]]] = {}
-    i = 0
-    while i < len(nodes) and not reached:
-        loc, ints, fracs = nodes[i]
+    for i, (loc, ints, fracs) in enumerate(nodes):  # nodes grows meanwhile
+        if reached:
+            break
+        if within is not None and loc not in within:
+            continue
         nxt = _delay_successor(ints, fracs, maxc)
         if nxt is not None:
-            j = node((loc, *nxt))
+            j = node((loc, *nxt), (i, None))
             if j is not None:
                 delay[i] = j
         zero_set = frozenset(fracs[0])
@@ -245,11 +234,11 @@ def build_region_graph(ta: Ta, targets: frozenset[str] = frozenset()
             if reached:
                 break
             if _guard_holds(e.guard, index_of_clock, ints, zero_set):
-                j = node((e.target, *_reset_region(ints, fracs, resets)))
+                j = node((e.target, *_reset_region(ints, fracs, resets)),
+                         (i, edge_id))
                 if j is not None:
                     discrete_out.setdefault(i, []).append((edge_id, j))
-        i += 1
-    return RegionGraph(ta, maxc, nodes, delay, discrete_out, initial)
+    return RegionGraph(maxc, nodes, delay, discrete_out, parents)
 
 
 def enumeration_size(ta: Ta) -> tuple[int, int | None]:
@@ -323,10 +312,8 @@ def _scc_ids(nodes: set[int], succ_map: dict[int, list[int]]) -> dict[int, int]:
 
 
 def _has_discrete_lasso(graph: RegionGraph, nodes: set[int]) -> bool:
-    succ_map: dict[int, list[int]] = {}
-    for i in nodes:
-        succ_map[i] = [j for _, j in graph.successors(i) if j in nodes]
-    comp = _scc_ids(nodes, succ_map)
+    comp = _scc_ids(nodes, {i: [j for _, j in graph.successors(i)]
+                            for i in nodes})
     return any(j in nodes and comp[i] == comp[j]
                for i in nodes for _, j in graph.discrete_out.get(i, ()))
 
@@ -344,29 +331,35 @@ def reach_path(ta: Ta, targets: Iterable[str]) -> list[int] | None:
     """Discrete edge ids of a run reaching the target set, or None."""
     targets = frozenset(targets)
     graph = build_region_graph(ta)
-    seen, parents = graph.reachable()
     order = {loc.name: k for k, loc in enumerate(ta.locations)}
-    hits = [i for i in seen if graph.nodes[i][0] in targets]
+    hits = [i for i, key in enumerate(graph.nodes) if key[0] in targets]
     if not hits:
         return None
     goal = min(hits, key=lambda i: (order[graph.nodes[i][0]], _shape_rank(
         graph.max_constants, graph.nodes[i][1], graph.nodes[i][2])))
     path: list[int] = []
-    cur = goal
-    while cur in parents:
-        cur, edge_id = parents[cur]
+    step = graph.parents[goal]
+    while step is not None:
+        cur, edge_id = step
         if edge_id is not None:
             path.append(edge_id)
+        step = graph.parents[cur]
     path.reverse()
     return path
+
+
+def _inside(ta: Ta, within: Iterable[str]) -> tuple[RegionGraph, set[int]]:
+    """The graph built through the location set, and its nodes inside it:
+    exactly the regions reachable by runs that stay within the set."""
+    within = frozenset(within)
+    graph = build_region_graph(ta, within=within)
+    return graph, {i for i, key in enumerate(graph.nodes) if key[0] in within}
 
 
 def ta_lasso(ta: Ta, within: Iterable[str]) -> bool:
     """A reachable cycle with at least one discrete edge, all locations
     within the given set (the path to the cycle stays within it too)."""
-    graph = build_region_graph(ta)
-    seen, _ = graph.reachable(frozenset(within))
-    return _has_discrete_lasso(graph, seen)
+    return _has_discrete_lasso(*_inside(ta, within))
 
 
 def ta_deadlock(ta: Ta) -> bool:
@@ -376,6 +369,5 @@ def ta_deadlock(ta: Ta) -> bool:
 def deadlock_within(ta: Ta, within: Iterable[str]) -> bool:
     """A region reachable through the location set from which no discrete
     edge is available, now or after any sequence of delays."""
-    graph = build_region_graph(ta)
-    seen, _ = graph.reachable(frozenset(within))
-    return any(not graph.can_fire(i) for i in seen)
+    graph, inside = _inside(ta, within)
+    return any(not graph.can_fire(i) for i in inside)

@@ -168,9 +168,7 @@ def path_to(result, index):
 
 
 def reachable_locations(ta):
-    graph = regions.build_region_graph(ta)
-    seen, _ = graph.reachable()
-    return {graph.nodes[i][0] for i in seen}
+    return {key[0] for key in regions.build_region_graph(ta).nodes}
 
 
 def integer_valuations_of(bounds):

@@ -15,6 +15,8 @@ variants.  Each model is fed to the CLI on stdin and gets classify,
 explore --dump, check --prop EC|ED|IP, and, for each of one or two target
 sets, check --prop EF|EFU|EG and synth-int.  Budgeted commands on the
 random draws run with --max-states 300; the rest keep the default budget.
+Last come instantiate --dump-regions commands, one per model but the
+bounded draws, with each parameter at the middle of its bounds.
 Every command runs in this one process, in the order listed.
 """
 
@@ -27,6 +29,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
@@ -68,9 +71,18 @@ def target_sets(pta) -> list[str]:
     return sets
 
 
+def midpoint(pta) -> str:
+    """Each parameter at the middle of its bounds, or at 1/2 when the
+    model has none, as a --values argument."""
+    bounds = pta.bounds_map() or {}
+    values = (Fraction(bounds[p].inf + bounds[p].sup, 2) if p in bounds
+              else Fraction(1, 2) for p in pta.parameters)
+    return ",".join(f"{p}={v}" for p, v in zip(pta.parameters, values))
+
+
 def commands() -> list[tuple[str, str, list[str]]]:
     """(command id, model text, argv after the model), in corpus order."""
-    out = []
+    out, last = [], []
     for name, pta, drawn in models():
         text = serialize(pta)
         budget = ["--max-states", DRAW_MAX_STATES] if drawn else []
@@ -83,7 +95,10 @@ def commands() -> list[tuple[str, str, list[str]]]:
             argvs.append(["synth-int", "--targets", targets] + budget)
         for argv in argvs:
             out.append((" ".join([name] + argv), text, argv))
-    return out
+        if not name.startswith("bounded_"):
+            argv = ["instantiate", "--dump-regions", f"--values={midpoint(pta)}"]
+            last.append((" ".join([name] + argv), text, argv))
+    return out + last
 
 
 def digest(text: str, argv: list[str]) -> str:

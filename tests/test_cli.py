@@ -89,9 +89,9 @@ def test_nonempty_lu_verdict_builds_one_region_graph(tmp_path, capsys, monkeypat
     built = []
     original = regions.build_region_graph
 
-    def counting(ta):
+    def counting(ta, *args, **kwargs):
         built.append(ta)
-        return original(ta)
+        return original(ta, *args, **kwargs)
 
     monkeypatch.setattr(regions, "build_region_graph", counting)
     code, out, _ = run(capsys, "check", model_file(tmp_path, pta),

@@ -438,3 +438,63 @@ def test_forward_region_graph_matches_full_enumeration():
                     expected.reverse()
                 assert regions.reach_path(ta, {loc.name}) == expected, \
                     where + (loc.name,)
+
+
+def restricted_reach(nodes, succ, initial, within):
+    """Nodes reachable from the initial node by runs that stay within the
+    location set (none when the initial node is outside it)."""
+    if initial is None or nodes[initial][0] not in within:
+        return set()
+    seen, stack = {initial}, [initial]
+    while stack:
+        for _, j in succ[stack.pop()]:
+            if j not in seen and nodes[j][0] in within:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def fires(succ, i):
+    """Some discrete edge leaves node i or a node its delays lead to."""
+    while i is not None:
+        if any(edge_id is not None for edge_id, _ in succ[i]):
+            return True
+        i = next((j for edge_id, j in succ[i] if edge_id is None), None)
+    return False
+
+
+def test_restricted_queries_match_a_search_of_the_full_enumeration():
+    """ta_lasso and deadlock_within build only through their location set.
+    For every subset, they agree with a search of the eager graph that
+    stays in the set: a lasso is a discrete edge between two such nodes
+    whose target leads back to its source inside the set, and a deadlock is
+    such a node from which no discrete edge fires, now or after delays.
+    The build gives no node outside the set a successor."""
+    rng = random.Random(SEED + 13)
+    for draw in range(24):
+        pta = random_lu_pta(rng) if draw % 2 else random_bounded_pta(rng)
+        valuations = integer_valuations_of(pta.bounds)
+        for v in rng.sample(valuations, min(2, len(valuations))) + \
+                rational_samples_of(pta.bounds, count=1):
+            ta = instantiate(pta, v)
+            nodes, succ, initial = eager_region_graph(ta)
+            names = [loc.name for loc in ta.locations]
+            for size in range(len(names) + 1):
+                for subset in itertools.combinations(names, size):
+                    within = frozenset(subset)
+                    where = (serialize(pta), v.as_dict(), sorted(within))
+                    inside = restricted_reach(nodes, succ, initial, within)
+                    graph = regions.build_region_graph(ta, within=within)
+                    assert {key for key in graph.nodes if key[0] in within} \
+                        == {nodes[i] for i in inside}, where
+                    for i, key in enumerate(graph.nodes):
+                        if key[0] not in within:
+                            assert i not in graph.delay, where
+                            assert i not in graph.discrete_out, where
+                    lasso = any(
+                        edge_id is not None and j in inside
+                        and i in restricted_reach(nodes, succ, j, within)
+                        for i in inside for edge_id, j in succ[i])
+                    assert regions.ta_lasso(ta, within) == lasso, where
+                    dead = any(not fires(succ, i) for i in inside)
+                    assert regions.deadlock_within(ta, within) == dead, where

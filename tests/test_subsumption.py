@@ -323,23 +323,30 @@ def test_lp_count_on_a_divergent_draw_is_pinned(monkeypatch):
 
 
 def test_lp_solves_on_a_divergent_draw_are_pinned(monkeypatch):
-    """Exact emptiness solves of one divergent draw from cold caches.
-    Minimization drops nonnegativity-implied rows without one and tests
-    the other rows on one phase 1 of the closure, which takes no
-    _satisfiable call (a tie on a strict face does); a system with no
-    strict row takes its emptiness from that phase 1 too.  succ tests no
-    guard for emptiness before the reset, no emptiness test follows a
-    minimization, and sample_point solves none."""
+    """Exact emptiness solves and phase 1s of one divergent draw from cold
+    caches.  Minimization drops nonnegativity-implied rows without an LP
+    and tests the other rows on one phase 1 of the closure; includes tests
+    outer's rows on one such phase 1 of inner.  A system with no strict
+    row takes its emptiness from that phase 1, so only a strict system, or
+    a tie on a strict face, takes a _satisfiable call: this draw takes
+    none.  succ tests no guard for emptiness before the reset, no
+    emptiness test follows a minimization, and sample_point solves none."""
     for cache in (poly._ineqs_empty, poly._minimized_ineqs):
         cache.cache_clear()
-    solves = []
+    solves, phase1s = [], []
 
     def counted(ineqs, original=poly._satisfiable):
         solves.append(ineqs)
         return original(ineqs)
 
+    def counted_phase1(rows, eps=False, original=poly._feasible):
+        phase1s.append(rows)
+        return original(rows, eps)
+
     monkeypatch.setattr(poly, "_satisfiable", counted)
+    monkeypatch.setattr(poly, "_feasible", counted_phase1)
     result = symbolic.explore(random_bounded_pta(random.Random(DIVERGENT)),
                               Budget(max_states=150))
     assert (len(result.states), result.status) == (150, symbolic.BUDGET_EXCEEDED)
-    assert len(solves) == 139
+    assert len(solves) == 0
+    assert len(phase1s) == 438
