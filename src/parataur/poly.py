@@ -2,7 +2,10 @@
 
 Constraints are stored as normalized linear inequalities ``t + c (<|<=) 0``
 over named variables (clocks and parameters), whose coefficients and
-constant are ``int``s of content 1.  Points, bounds and sample coordinates
+constant are ``int``s of content 1.  A row is a named tuple in this normal
+form, with its nonzero coefficients in name order, so rows compare and
+sort as plain tuples; only ``lin`` normalizes, and time elapse keeps the
+form when it adds a coefficient.  Points, bounds and sample coordinates
 are ``Fraction``s.  A subsumption probe is a point as integer numerators
 over one common denominator, so testing it against a face costs integer
 arithmetic only.  Every polyhedron materializes nonnegativity of all its
@@ -23,12 +26,13 @@ emptiness test.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalError, NotAZoneError, UnboundedError
 from .model import Guard, GuardAtom, Interval
@@ -36,13 +40,14 @@ from .model import Guard, GuardAtom, Interval
 _ELAPSE_VAR = "__d"
 
 
-@dataclass(frozen=True)
-class LinIneq:
+class LinIneq(NamedTuple):
     """Normalized inequality: sum(coeff * var) + constant 'op' 0.
 
     Coefficients and constant are ``int``s with content 1 (divided by their
-    gcd), so syntactically equal constraints compare equal.  A constant-only
-    inequality keeps just the sign of its constant.
+    gcd), and the coefficients are nonzero and sorted by name, so
+    syntactically equal constraints compare equal.  A constant-only
+    inequality keeps just the sign of its constant.  ``lin`` builds this
+    form; rows compare and sort as (coeffs, constant, strict).
     """
 
     coeffs: tuple[tuple[str, int], ...]
@@ -81,23 +86,20 @@ class LinIneq:
 
 
 def lin(coeffs: Mapping[str, int], constant: int, strict: bool) -> LinIneq:
-    items = sorted((n, c) for n, c in coeffs.items() if c != 0)
+    items = sorted([(n, c) for n, c in coeffs.items() if c])
     if not items:
         return LinIneq((), (constant > 0) - (constant < 0), strict)
-    g = math.gcd(constant, *(c for _, c in items))
-    return LinIneq(tuple((n, c // g) for n, c in items), constant // g, strict)
+    g = math.gcd(constant, *[c for _, c in items])
+    if g == 1:
+        return LinIneq(tuple(items), constant, strict)
+    return LinIneq(tuple([(n, c // g) for n, c in items]), constant // g, strict)
 
 
+@lru_cache(maxsize=4096)
 def atom_to_ineq(a: GuardAtom) -> LinIneq:
-    if a.op in ("<", "<="):
-        coeffs: dict[str, int] = {a.clock: 1}
-        for p in a.params:
-            coeffs[p] = -1
-        return lin(coeffs, -a.constant, a.op == "<")
-    coeffs = {a.clock: -1}
-    for p in a.params:
-        coeffs[p] = 1
-    return lin(coeffs, a.constant, a.op == ">")
+    sign = 1 if a.is_upper else -1
+    coeffs = {a.clock: sign, **{p: -sign for p in a.params}}
+    return lin(coeffs, -sign * a.constant, a.is_strict)
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,6 @@ class Polyhedron:
         return "{" + ", ".join(self.debug_strings()) + "}"
 
 
-_SORT_KEY = lambda i: (i.coeffs, i.constant, i.strict)  # noqa: E731
-
-
 def _dominance_prune(ineqs: Iterable[LinIneq]) -> tuple[LinIneq, ...]:
     """Keep only the tightest inequality per coefficient vector."""
     best: dict[tuple, LinIneq] = {}
@@ -133,10 +132,10 @@ def _dominance_prune(ineqs: Iterable[LinIneq]) -> tuple[LinIneq, ...]:
         if not i.coeffs and i.trivially_true:
             continue
         cur = best.get(i.coeffs)
-        if cur is None or (i.constant, i.strict) > (cur.constant, cur.strict):
+        if cur is None or i.constant > cur.constant or (
+                i.constant == cur.constant and i.strict and not cur.strict):
             best[i.coeffs] = i
-    # One row per vector, so the vectors alone give the _SORT_KEY order.
-    return tuple(best[v] for v in sorted(best))
+    return tuple(sorted(best.values()))
 
 
 @lru_cache(maxsize=1024)
@@ -177,19 +176,18 @@ def bounds_box(clocks: Iterable[str], params: Iterable[str],
 
 
 def _eliminate(ineqs: Iterable[LinIneq], var: str) -> list[LinIneq]:
-    pos: list[LinIneq] = []
-    neg: list[LinIneq] = []
+    pos: list[tuple[int, LinIneq]] = []
+    neg: list[tuple[int, LinIneq]] = []
     rest: list[LinIneq] = []
     for i in ineqs:
         c = i.coeff(var)
         if c > 0:
-            pos.append(i)
+            pos.append((c, i))
         elif c < 0:
-            neg.append(i)
+            neg.append((c, i))
         else:
             rest.append(i)
-    for a, b in itertools.product(pos, neg):
-        ca, cb = a.coeff(var), b.coeff(var)
+    for (ca, a), (cb, b) in itertools.product(pos, neg):
         coeffs: dict[str, int] = {}
         for name, c in a.coeffs:
             if name != var:
@@ -424,8 +422,7 @@ def _implied(d: _Dictionary, i: LinIneq, system: Iterable[LinIneq]) -> bool:
         return False
     if top < bound or not i.strict:
         return True
-    return _ineqs_empty(tuple(sorted(set(system) | {i.negated()},
-                                     key=_SORT_KEY)))
+    return _ineqs_empty(tuple(sorted(set(system) | {i.negated()})))
 
 
 _FALSE = lin({}, 1, False)
@@ -442,7 +439,7 @@ def _minimized_ineqs(ineqs: tuple[LinIneq, ...]) -> tuple[LinIneq, ...]:
     a copy, and phase 2 decides whether the rows left imply it; when they
     do, the copy is kept for the rows that follow.
     The result is the single false row exactly when ineqs is empty."""
-    order = sorted(ineqs, key=lambda q: (-len(q.coeffs),) + _SORT_KEY(q))
+    order = sorted(ineqs, key=lambda q: (-len(q.coeffs), q))
     base = _base(ineqs, [i for i in order if not _orthant_implied(i)])
     if base is None:
         return (_FALSE,)
@@ -502,14 +499,15 @@ def _shift(c: Polyhedron, direction: int) -> Polyhedron:
     clockset = set(c.clocks)
     shifted = []
     for i in make(c.clocks, c.params, c.ineqs).ineqs:
-        cd = sum(cf for name, cf in i.coeffs if name in clockset)
-        cd = direction * cd
+        cd = direction * sum(cf for name, cf in i.coeffs if name in clockset)
         if cd == 0:
             shifted.append(i)
         else:
-            coeffs = dict(i.coeffs)
-            coeffs[_ELAPSE_VAR] = cd
-            shifted.append(lin(coeffs, i.constant, i.strict))
+            # The row is in normal form, its content 1, so it stays so with
+            # one more coefficient: insert it in name order, no lin needed.
+            k = bisect.bisect(i.coeffs, (_ELAPSE_VAR,))
+            coeffs = i.coeffs[:k] + ((_ELAPSE_VAR, cd),) + i.coeffs[k:]
+            shifted.append(LinIneq(coeffs, i.constant, i.strict))
     shifted.append(lin({_ELAPSE_VAR: -1}, 0, False))
     out = make(c.clocks, c.params, _eliminate(shifted, _ELAPSE_VAR))
     if len(out.ineqs) > _REDUCE_ABOVE:
@@ -618,7 +616,9 @@ def probe_holds(ineqs: Iterable[LinIneq], probe: Probe) -> bool:
     """Every inequality holds at the probe."""
     den, num = probe
     for i in ineqs:
-        total = i.constant * den + sum(c * num[n] for n, c in i.coeffs)
+        total = i.constant * den
+        for n, c in i.coeffs:
+            total += c * num[n]
         if total > 0 or (total == 0 and i.strict):
             return False
     return True
@@ -726,11 +726,8 @@ def difference(c: Polyhedron, d: Polyhedron) -> PolyUnion:
     """c minus d, as a union of polyhedra (one per violated face of d)."""
     if c.vars != d.vars:
         raise InternalError("universe mismatch")
-    pieces = []
-    for i in d.ineqs:
-        piece = make(c.clocks, c.params, c.ineqs + (i.negated(),))
-        pieces.append(piece)
-    return union_of(pieces)
+    return union_of(make(c.clocks, c.params, c.ineqs + (i.negated(),))
+                    for i in d.ineqs)
 
 
 def union_difference(u: PolyUnion | Polyhedron, v: PolyUnion) -> PolyUnion:

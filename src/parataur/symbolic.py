@@ -73,14 +73,17 @@ def initial_state(pta: Pta) -> SymbolicState:
 
 
 def succ(pta: Pta, state: SymbolicState, edge: Edge) -> SymbolicState | None:
-    """Successor through one edge, or None when infeasible.  The target
-    invariant is intersected both before and after time elapse."""
+    """Successor through one edge, or None when infeasible: at once, with
+    no LP, when the reset leaves a false row.  The target invariant is
+    intersected both before and after time elapse."""
     if edge.source != state.location:
         raise InternalError(
             f"edge from {edge.source!r} applied at {state.location!r}")
     inv = pta.invariant(edge.target)
     c = poly.conjoin_guard(state.constraint, edge.guard)
     c = poly.reset(c, edge.resets)
+    if c.trivially_empty:
+        return None
     c = poly.conjoin_guard(c, inv)
     c = poly.time_elapse(c)
     c = poly.conjoin_guard(c, inv)

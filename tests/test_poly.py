@@ -2,6 +2,7 @@
 reset, projection, difference, emptiness, containment, integer points,
 and deterministic sampling."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -383,11 +384,16 @@ def greedy_minimization(ineqs):
     return tuple(work)
 
 
+def row_key(i):
+    """The order of rows spelled out: coefficients, constant, strictness."""
+    return i.coeffs, i.constant, i.strict
+
+
 def rows_of(*rows):
     """Rows (coefficients over x, y; constant; strict), sorted."""
     return tuple(sorted((poly.lin(dict(zip(XY, coeffs)), constant, strict)
                          for coeffs, constant, strict in rows),
-                        key=poly._SORT_KEY))
+                        key=row_key))
 
 
 # Warm-start cases of minimization, each with the rows it keeps.
@@ -475,7 +481,7 @@ def test_minimization_equals_one_lp_per_row():
             rows.append(poly.lin(coeffs, rng.randint(-3, 3), rng.random() < 0.4))
         if rng.random() < 0.5:
             rows += poly._orthant(names)
-        systems.append(tuple(sorted(set(rows), key=poly._SORT_KEY)))
+        systems.append(tuple(sorted(set(rows), key=row_key)))
     systems.append(poly.make(("x", "y"), P, []).ineqs)
     systems.append(poly.make(X, P, [poly.lin({"x": 1}, -1, False)]).ineqs)
     systems += [ineqs for ineqs, _ in WARM_CASES]
@@ -490,7 +496,7 @@ def test_minimization_equals_one_lp_per_row():
     # -x - p < 0 holds off the origin only, so it stays; -x - 2 < 0 goes.
     kept = poly._minimized_ineqs(tuple(sorted(
         (special[2], special[3], poly.lin({"x": 1}, -3, False)),
-        key=poly._SORT_KEY)))
+        key=row_key)))
     assert special[3] in kept and special[2] not in kept
 
 
@@ -690,7 +696,7 @@ def test_sample_point_of_empty_is_none():
 
 
 def test_make_keeps_the_tightest_row_per_vector_in_sort_order():
-    """One row per coefficient vector, the tightest, in _SORT_KEY order; a
+    """One row per coefficient vector, the tightest, in row_key order; a
     row without coefficients stays only when it is false."""
     rows = [poly.lin({"x": 1}, -2, False), poly.lin({"x": 1}, -1, True),
             poly.lin({"x": 1}, -1, False), poly.lin({}, -1, False),
@@ -704,8 +710,94 @@ def test_make_keeps_the_tightest_row_per_vector_in_sort_order():
     rng = random.Random(20261024)
     for _ in range(200):
         got = poly.make(XY, P, random_rows(rng, ("x", "y", "p"), 6)).ineqs
-        assert got == tuple(sorted(got, key=poly._SORT_KEY))
+        assert got == tuple(sorted(got, key=row_key))
         assert len({i.coeffs for i in got}) == len(got)
+
+
+# Names on both sides of the elapse variable "__d" in name order.
+ROW_NAMES = ("A", "p", "x", "y", "Z")
+
+
+def random_coeff_dict(rng, scale):
+    return {v: scale * rng.randint(-3, 3)
+            for v in rng.sample(ROW_NAMES, rng.randint(0, len(ROW_NAMES)))}
+
+
+def test_lin_builds_the_normal_form():
+    """Nonzero coefficients in strictly ascending name order, content 1,
+    and the same inequality; a constant-only row keeps its sign."""
+    rng = random.Random(20261020)
+    for _ in range(500):
+        scale = rng.randint(1, 4)
+        coeffs = random_coeff_dict(rng, scale)
+        constant = scale * rng.randint(-4, 4)
+        row = poly.lin(coeffs, constant, rng.random() < 0.5)
+        names = [n for n, _ in row.coeffs]
+        assert all(a < b for a, b in zip(names, names[1:]))
+        assert all(c != 0 for _, c in row.coeffs)
+        nonzero = {n: c for n, c in coeffs.items() if c}
+        if nonzero:
+            g = math.gcd(constant, *nonzero.values())
+            assert math.gcd(row.constant, *(c for _, c in row.coeffs)) == 1
+            assert dict(row.coeffs) == {n: c // g for n, c in nonzero.items()}
+            assert row.constant == constant // g
+        else:
+            assert row.constant == (constant > 0) - (constant < 0)
+        assert poly.lin(dict(row.coeffs), row.constant, row.strict) == row
+
+
+@pytest.mark.parametrize("shift", [poly.time_elapse, poly.time_past])
+def test_shift_builds_the_rows_lin_would(monkeypatch, shift):
+    """The rows _shift hands to elimination are lin of each row's dict with
+    the elapse coefficient added, or the row itself when that is 0."""
+    seen = []
+    eliminate = poly._eliminate
+
+    def recording(ineqs, var):
+        if var == poly._ELAPSE_VAR:
+            seen.append(list(ineqs))
+        return eliminate(ineqs, var)
+
+    monkeypatch.setattr(poly, "_eliminate", recording)
+    direction = -1 if shift is poly.time_elapse else 1
+    clocks, params = ("A", "x", "y"), ("Z", "p")
+    rng = random.Random(20261021)
+    for _ in range(100):
+        rows = [poly.lin(random_coeff_dict(rng, 1), rng.randint(-3, 3),
+                         rng.random() < 0.4) for _ in range(rng.randint(0, 5))]
+        c = poly.make(clocks, params, rows)
+        seen.clear()
+        shift(c)
+        expected = []
+        for i in c.ineqs:
+            cd = direction * sum(cf for n, cf in i.coeffs if n in clocks)
+            expected.append(i if cd == 0 else poly.lin(
+                {**dict(i.coeffs), poly._ELAPSE_VAR: cd}, i.constant, i.strict))
+        expected.append(poly.lin({poly._ELAPSE_VAR: -1}, 0, False))
+        assert seen == [expected]
+
+
+def reference_prune(rows):
+    """The tightest row of each coefficient vector, trivially true rows
+    left out, sorted by row_key."""
+    groups = {}
+    for i in rows:
+        if not i.trivially_true:
+            groups.setdefault(i.coeffs, []).append(i)
+    tightest = [max(g, key=lambda i: (i.constant, i.strict))
+                for g in groups.values()]
+    return tuple(sorted(tightest, key=row_key))
+
+
+def test_dominance_prune_and_row_order_match_their_references():
+    """Few vectors and constants, so vectors and whole rows repeat."""
+    rng = random.Random(20261022)
+    vectors = [{}] + [random_coeff_dict(rng, 1) for _ in range(5)]
+    for _ in range(300):
+        rows = [poly.lin(rng.choice(vectors), rng.randint(-2, 2),
+                         rng.random() < 0.5) for _ in range(rng.randint(0, 12))]
+        assert poly._dominance_prune(rows) == reference_prune(rows)
+        assert sorted(rows) == sorted(rows, key=row_key)
 
 
 def test_a_sample_point_outside_its_polyhedron_raises(monkeypatch):

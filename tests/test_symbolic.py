@@ -69,6 +69,29 @@ def test_succ_unsatisfiable_guard_is_absent():
     assert symbolic.succ(pta, s0, pta.edges[0]) is None
 
 
+def test_succ_stops_when_the_reset_leaves_a_false_row(monkeypatch):
+    """From x <= 1 through guard x >= 2 resetting x, eliminating x leaves
+    the row 1 <= 0: succ answers None without a time elapse.  The same
+    edge from x <= 2 is feasible and elapses once."""
+    pta = build(locs=(("l0", ()), ("l1", ())),
+                edges=((("l0", "l1", (atom("x", ">=", constant=2),), ("x",)),)))
+    edge = pta.edges[0]
+    low = symbolic.SymbolicState(
+        "l0", poly.from_guard(("x",), (), (atom("x", "<=", constant=1),)))
+    reset = poly.reset(poly.conjoin_guard(low.constraint, edge.guard), ("x",))
+    assert poly.lin({}, 1, False) in reset.ineqs
+    calls = []
+    elapse = poly.time_elapse
+    monkeypatch.setattr(poly, "time_elapse",
+                        lambda c: calls.append(c) or elapse(c))
+    assert symbolic.succ(pta, low, edge) is None
+    assert calls == []
+    high = symbolic.SymbolicState(
+        "l0", poly.from_guard(("x",), (), (atom("x", "<=", constant=2),)))
+    assert symbolic.succ(pta, high, edge) is not None
+    assert len(calls) == 1
+
+
 def test_succ_elapse_closed_state_unchanged():
     pta = build(locs=(("l0", ()), ("l1", ())),
                 edges=(("l0", "l1", (), ()),))
