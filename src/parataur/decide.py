@@ -228,7 +228,7 @@ def deadlock_region(pta: Pta, state: SymbolicState) -> poly.PolyUnion:
     """The subset of the state from which no delay makes any outgoing edge
     firable into a state satisfying its target invariant."""
     inv_src = pta.invariant(state.location)
-    pieces = [state.constraint]
+    pasts = []
     for e in pta.edges:
         if e.source != state.location:
             continue
@@ -239,10 +239,10 @@ def deadlock_region(pta: Pta, state: SymbolicState) -> poly.PolyUnion:
                                    pta.clocks, pta.parameters))
         enabled = poly.conjoin_guard(enabled, inv_src)
         past = poly.minimized(poly.conjoin_guard(poly.time_past(enabled), inv_src))
-        if past.trivially_empty:
-            continue
-        pieces = [q for p in pieces for q in poly.difference(p, past).disjuncts]
-    return poly.union_of(pieces)
+        if not past.trivially_empty:
+            pasts.append(past)
+    # Minimized and not trivially empty, so each past is nonempty.
+    return poly.union_difference(state.constraint, poly.PolyUnion(tuple(pasts)))
 
 
 def eg_emptiness(pta: Pta, targets: Iterable[str],

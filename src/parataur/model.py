@@ -169,6 +169,8 @@ class Pta:
 
     def __post_init__(self):
         names = list(self.clocks) + list(self.parameters)
+        if not all(isinstance(n, str) and _IDENT_RE.fullmatch(n) for n in names):
+            raise ModelSyntaxError("clocks and parameters must be identifiers")
         if len(set(names)) != len(names):
             raise ModelSyntaxError("clock/parameter names not distinct")
         loc_names = [loc.name for loc in self.locations]
@@ -246,15 +248,6 @@ class Ta:
             for a in e.guard:
                 if a.params:
                     raise ValueError("parameter left in instantiated guard")
-
-    def location(self, name: str) -> Location:
-        for loc in self.locations:
-            if loc.name == name:
-                return loc
-        raise KeyError(name)
-
-    def invariant(self, name: str) -> Guard:
-        return self.location(name).invariant
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ Emptiness chains the two.  Minimization and ``includes`` test whether a
 system implies a row by phase 2 alone, from one phase 1 of the system's
 closure per polyhedron; that phase 1 also decides the emptiness of a
 system with no strict row, and only a tie on a strict row needs one more
-emptiness test.
+emptiness test.  Integer points take the same simplex, since a zone's rows
+at integer parameters are totally unimodular (see ``has_integer_point``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import InternalError, NotAZoneError, UnboundedError
 from .model import Guard, GuardAtom, Interval
 
-_ELAPSE_VAR = "__d"
+# Internal variables (this and _EPS) are not identifiers, unlike every Pta's
+# clocks and parameters, so they never meet one; "^" sorts between Z and a.
+_ELAPSE_VAR = "^d"
 
 
 class LinIneq(NamedTuple):
@@ -208,7 +211,7 @@ def _eliminate(ineqs: Iterable[LinIneq], var: str) -> list[LinIneq]:
 # handled by maximizing a slack eps shared by every strict row: the system
 # has a point iff the relaxation is feasible with eps > 0.
 
-_EPS = "__eps"
+_EPS = "^eps"
 
 
 def _orthant_implied(i: LinIneq) -> bool:
@@ -537,16 +540,8 @@ def unreset_invariant(inv: Guard, resets: Iterable[str],
                       clocks: Iterable[str], params: Iterable[str]) -> Polyhedron:
     """The invariant with reset clocks substituted by 0: the condition the
     pre-reset valuation must satisfy for the post-reset one to meet inv."""
-    resets = set(resets)
-    ineqs = []
-    for a in inv:
-        i = atom_to_ineq(a)
-        if a.clock in resets:
-            coeffs = {n: c for n, c in i.coeffs if n != a.clock}
-            ineqs.append(lin(coeffs, i.constant, i.strict))
-        else:
-            ineqs.append(i)
-    return make(clocks, params, ineqs)
+    return make(clocks, params, _fixed([atom_to_ineq(a) for a in inv],
+                                       dict.fromkeys(resets, 0)))
 
 
 def project_params(c: Polyhedron) -> Polyhedron:
@@ -760,76 +755,14 @@ def zone_violation(c: Polyhedron) -> str | None:
     return None
 
 
-_INF = None
-
-
-def _bound_add(a, b):
-    if a is _INF or b is _INF:
-        return _INF
-    return (a[0] + b[0], a[1] or b[1])
-
-
-def _bound_less(a, b) -> bool:
-    if b is _INF:
-        return a is not _INF
-    if a is _INF:
-        return False
-    return a[0] < b[0] or (a[0] == b[0] and a[1] and not b[1])
-
-
-def _dbm_canonical(n: int, dbm: list[list]) -> bool:
-    """Shortest-path closure in place; False when a negative cycle exists."""
-    for k in range(n):
-        for i in range(n):
-            if dbm[i][k] is _INF:
-                continue
-            for j in range(n):
-                cand = _bound_add(dbm[i][k], dbm[k][j])
-                if _bound_less(cand, dbm[i][j]):
-                    dbm[i][j] = cand
-        for i in range(n):
-            if _bound_less(dbm[i][i], (0, False)):
-                return False
-    return True
-
-
-def _clock_system_has_integer_point(clocks: tuple[str, ...],
-                                    ineqs: list[LinIneq]) -> bool:
-    index = {x: k + 1 for k, x in enumerate(clocks)}
-    n = len(clocks) + 1
-    dbm: list[list] = [[_INF] * n for _ in range(n)]
-    for i in range(n):
-        dbm[i][i] = (0, False)
-    for k in range(1, n):
-        dbm[0][k] = (0, False)
-
-    def update(i: int, j: int, bound):
-        if _bound_less(bound, dbm[i][j]):
-            dbm[i][j] = bound
-
-    for i in ineqs:
-        if i.trivially_false:
-            return False
-        # A zone row with integer parameters fixed reads x - y + c (<|<=) 0,
-        # its clock coefficients +1 and -1; index 0 stands for a missing one.
-        ends = {a: index[x] for x, a in i.coeffs}
-        if ends:
-            update(ends.get(1, 0), ends.get(-1, 0), (-i.constant, i.strict))
-    if not _dbm_canonical(n, dbm):
-        return False
-    for i in range(n):
-        for j in range(n):
-            if dbm[i][j] is _INF:
-                continue
-            value, strict = dbm[i][j]
-            tightened = math.ceil(value) - 1 if strict else math.floor(value)
-            dbm[i][j] = (tightened, False)
-    return _dbm_canonical(n, dbm)
-
-
 def has_integer_point(c: Polyhedron, bounds: Mapping[str, Interval]) -> bool:
     """True iff c contains a point with all-integer clock and parameter
-    coordinates, for some integer parameter valuation in the bounds box."""
+    coordinates, for some integer parameter valuation in the bounds box.
+    Each valuation is one exact LP.  It leaves zone rows x - y + k or +-x + k
+    (<|<=) 0 with k an integer, and at integer points a strict one is the
+    closed row t + k + 1 <= 0.  Closed difference rows over the orthant are
+    totally unimodular (Schrijver, Theory of Linear and Integer Programming,
+    1986, ch. 19), so they hold an integer point iff they hold a real one."""
     viol = zone_violation(c)
     if viol is not None:
         raise NotAZoneError(viol)
@@ -840,10 +773,10 @@ def has_integer_point(c: Polyhedron, bounds: Mapping[str, Interval]) -> bool:
         return False
     ranges = [bounds[p].integers() for p in c.params]
     for combo in itertools.product(*ranges):
-        folded = _fixed(c.ineqs, dict(zip(c.params, combo)))
-        if any(i.trivially_false for i in folded):
-            continue
-        if _clock_system_has_integer_point(c.clocks, folded):
+        rows = _fixed(c.ineqs, dict(zip(c.params, combo)))
+        # Not the cached _ineqs_empty: the slices would only fill its cache.
+        if _satisfiable(tuple(LinIneq(i.coeffs, i.constant + i.strict, False)
+                              for i in rows)):
             return True
     return False
 

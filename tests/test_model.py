@@ -114,6 +114,16 @@ def test_parse_model_error_paths():
         parse_model(json.dumps(doc))
 
 
+def test_pta_rejects_names_that_are_not_identifiers():
+    """Only identifiers name clocks and parameters, also in a Pta built
+    without the parser; poly's internal variables are not identifiers."""
+    for clocks, params in ((("x y",), ()), (("x",), ("^d",)),
+                           (("x",), ("1p",)), (("",), ())):
+        with pytest.raises(ModelSyntaxError):
+            build(clocks=clocks, params=params)
+    assert build(clocks=("x", "__d"), params=("__eps",)).clocks == ("x", "__d")
+
+
 def test_interval_membership_and_integers():
     iv = Interval(0, 2, inf_open=True)
     assert not iv.contains(Fraction(0))

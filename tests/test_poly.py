@@ -345,6 +345,17 @@ def test_integer_point_requires_bounds():
         poly.has_integer_point(c, {})
 
 
+def test_a_variable_named___eps_is_not_the_lp_slack():
+    """x < 1 and 2 <= __eps <= 3: the strict row's slack is a variable of
+    its own, so the system is nonempty and has an integer point."""
+    c = poly.make(("x", "__eps"), (), [poly.lin({"x": 1}, -1, True),
+                                      poly.lin({"__eps": -1}, 2, False),
+                                      poly.lin({"__eps": 1}, -3, False)])
+    assert not poly.is_empty(c)
+    assert poly.contains(c, poly.sample_point(c))
+    assert poly.has_integer_point(c, {})
+
+
 # ---------------------------------------------------------------------------
 # equality, minimization, sampling
 
@@ -714,7 +725,7 @@ def test_make_keeps_the_tightest_row_per_vector_in_sort_order():
         assert len({i.coeffs for i in got}) == len(got)
 
 
-# Names on both sides of the elapse variable "__d" in name order.
+# Names on both sides of the elapse variable "^d" in name order.
 ROW_NAMES = ("A", "p", "x", "y", "Z")
 
 

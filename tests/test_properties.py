@@ -150,21 +150,35 @@ def test_zone_operator_laws():
 
 
 def test_integer_points_agree_with_the_grid():
-    # Atom constants and parameters are at most 3, so every bound of a zone
-    # is at most 7 in size (after tightening a strict one), and the least
-    # integer point of a zone, if there is one, has coordinates at most 14.
+    # Atoms bound a clock by at most one parameter plus a constant, both at
+    # most 3.  With integer parameters, each zone below then bounds every
+    # clock, and every difference of two clocks, from below by at most 7
+    # once a strict bound is tightened: time elapse and reset raise no lower
+    # bound, and a difference bound they add is at most a clock's lower
+    # bound.  The least integer point of a zone sums at most two such
+    # bounds, one per clock, so its coordinates are at most 14.  Two
+    # parameters give several integer slices per zone, and a reset before
+    # time elapse gives difference rows.
     rng = random.Random(SEED + 6)
-    bounds = {"p": Interval(0, 3)}
+    bounds = {"p": Interval(0, 3), "q": Interval(0, 3)}
     without = 0
-    for _ in range(120):
+    for _ in range(200):
         clocks = ("x", "y")[: rng.randint(1, 2)]
-        params = ("p",)[: rng.randint(0, 1)]
-        guard = ()
-        for _ in range(rng.randint(2, 4)):
-            guard += _random_atoms(rng, clocks, params, ("<", "<=", ">", ">="))
-        c = poly.from_guard(clocks, params, guard)
+        params = ("p", "q")[: rng.randint(0, 2)]
+
+        def guard(n):
+            atoms = ()
+            for _ in range(n):
+                atoms += _random_atoms(rng, clocks, params,
+                                       ("<", "<", "<=", ">", ">", ">="))
+            return atoms
+
+        c = poly.from_guard(clocks, params, guard(rng.randint(2, 4)))
         if rng.random() < 0.5:
             c = poly.time_elapse(c)
+        if rng.random() < 0.5:
+            c = poly.reset(c, rng.sample(clocks, 1))
+            c = poly.conjoin_guard(poly.time_elapse(c), guard(rng.randint(1, 2)))
         ranges = [range(15)] * len(c.clocks) + [range(4)] * len(c.params)
         expected = any(poly.contains(c, dict(zip(c.vars, pt)))
                        for pt in itertools.product(*ranges))

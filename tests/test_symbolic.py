@@ -15,12 +15,13 @@ P = ("p",)
 
 
 def test_initial_state_without_invariant_is_diagonal():
-    pta = build(clocks=XY)
-    s0 = symbolic.initial_state(pta)
-    expected = poly.make(XY, (), [poly.lin({"x": 1, "y": -1}, 0, False),
-                                  poly.lin({"x": -1, "y": 1}, 0, False)])
-    assert s0.location == "l0"
-    assert equal(s0.constraint, expected)
+    # A clock named __d is a clock like any other, not time elapse's variable.
+    for x, y in (XY, ("x", "__d")):
+        s0 = symbolic.initial_state(build(clocks=(x, y)))
+        expected = poly.make((x, y), (), [poly.lin({x: 1, y: -1}, 0, False),
+                                          poly.lin({x: -1, y: 1}, 0, False)])
+        assert s0.location == "l0"
+        assert equal(s0.constraint, expected)
 
 
 def test_initial_state_stops_at_invariant():
