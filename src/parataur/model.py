@@ -338,6 +338,8 @@ def parse_model(text: str | bytes) -> Pta:
     for key in ("clocks", "parameters", "locations", "init", "edges"):
         if key not in doc:
             raise ModelSyntaxError(f"missing key {key!r}")
+        if key != "init" and not isinstance(doc[key], list):
+            raise ModelSyntaxError(f"{key!r} must be a JSON array")
     name = doc.get("name", "model")
     clocks = tuple(doc["clocks"])
     if not all(isinstance(c, str) and _IDENT_RE.fullmatch(c) for c in clocks):

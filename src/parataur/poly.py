@@ -562,35 +562,6 @@ def includes(outer: Polyhedron, inner: Polyhedron) -> bool:
                                for i in outer.ineqs if not _orthant_implied(i))
 
 
-def face_map(c: Polyhedron) -> dict[tuple, LinIneq]:
-    """The faces of c by coefficient vector, for quick_inclusion."""
-    return {i.coeffs: i for i in c.ineqs}
-
-
-def quick_inclusion(outer: Polyhedron,
-                    inner_faces: Mapping[tuple, LinIneq]) -> bool | None:
-    """Decide inner <= outer by matching coefficient vectors alone, or None
-    when some outer face has no matched inner face; inner_faces is
-    face_map(inner), built once for all the outer polyhedra it meets.
-
-    The False answer requires inner to be minimized and nonempty: each of
-    its faces is then supporting (attained when closed, approached when
-    strict), so an outer bound strictly tighter on the same normal vector
-    proves a point of inner escapes.  The True answer is sound for any
-    operands, being a face by face implication.
-    """
-    decided = True
-    for o in outer.ineqs:
-        i = inner_faces.get(o.coeffs)
-        if i is None:
-            decided = False
-            continue
-        if o.constant > i.constant or (
-                o.constant == i.constant and o.strict and not i.strict):
-            return False
-    return True if decided else None
-
-
 # ---------------------------------------------------------------------------
 # Integer probes: refuting inclusion without the solver
 #
@@ -625,11 +596,12 @@ def _ray_point(face: LinIneq, direction: Mapping[str, int],
     """Shoot the ray x(l) = probe + l*direction from a probe that satisfies
     rows.  The ray crosses face at l0 (never, unless face rises along it)
     and first leaves rows at lmax, the least crossing over rows r with
-    r.direction > 0.  When l0 < lmax, return x((l0 + lmax) / 2), a point of
-    rows beyond face (x(l0 + 1) when no row bounds the ray), and None;
-    else None and the row that stops the ray, if any.  Every ratio is
-    compared and summed by cross-multiplying, so the point is again a
-    probe."""
+    r.direction > 0.  When l0 < lmax, return x((l0 + 1023*lmax) / 1024) and
+    None: a point inside rows and beyond face, near the ray's exit, so also
+    beyond faces further along the ray, which a midpoint may miss (x(l0 + 1)
+    when no row bounds the ray).  Else return None and the row that stops
+    the ray, if any.  Every ratio is compared and summed by
+    cross-multiplying, so the point is again a probe."""
     den, num = probe
 
     def at_probe(i: LinIneq) -> int:
@@ -652,7 +624,8 @@ def _ray_point(face: LinIneq, direction: Mapping[str, int],
     if first is None:
         scale, shift = den * rise, den * rise - cross
     elif cross * slope > first * rise:
-        scale, shift = 2 * den * rise * slope, -cross * slope - first * rise
+        scale = 1024 * den * rise * slope
+        shift = -cross * slope - 1023 * first * rise
     else:
         return None, stop
     # x = num/den + direction*shift/scale, over the denominator scale.

@@ -93,6 +93,34 @@ def succ(pta: Pta, state: SymbolicState, edge: Edge) -> SymbolicState | None:
     return _checked(SymbolicState(edge.target, c))
 
 
+def key_faces(ids: dict[tuple, int], c: poly.Polyhedron) -> list[tuple]:
+    """c's faces as (vector id, constant, strict, row); a coefficient
+    vector new to ids gets the next id."""
+    return [(ids.setdefault(o.coeffs, len(ids)), o.constant, o.strict, o)
+            for o in c.ineqs]
+
+
+def unmatched_faces(outer: list[tuple],
+                    inner: dict[int, tuple[int, bool]]) -> list | None:
+    """One pass over outer's keyed faces against inner's (constant, strict)
+    by vector id: None when a matched face of outer is tighter, else the
+    faces of outer left unmatched; none left means inner <= outer.
+
+    The None answer requires inner to be minimized and nonempty: each of
+    its faces is then supporting (attained when closed, approached when
+    strict), so a tighter outer bound on the same normal vector proves a
+    point of inner escapes.  A matched face that is not tighter holds on
+    all of inner, so the other answers hold for any operands."""
+    unmatched = []
+    for vid, constant, strict, row in outer:
+        bound = inner.get(vid)
+        if bound is None:
+            unmatched.append(row)
+        elif (constant, strict) > bound:
+            return None
+    return unmatched
+
+
 def explore(pta: Pta, budget: Budget = Budget(),
             restrict_to: frozenset[str] | None = None,
             use_subsumption: bool = True) -> ExplorationResult:
@@ -100,7 +128,14 @@ def explore(pta: Pta, budget: Budget = Budget(),
 
     restrict_to prunes successors whose location is outside the set (the
     pruning does not count against completeness).  A new state is discarded
-    when an already-stored state at the same location includes it.
+    when an already-stored state at the same location includes it: the
+    first one, in the order they were stored.  Each state's faces are
+    keyed once by coefficient vector, and one pass over a stored state's
+    keyed faces settles most tests.  Integer points of the new state
+    refute most of the rest on the faces left unmatched: its sample, and
+    each point found near the exit of a ray from the sample across such a
+    face.  Only the exact LP of includes answers that a stored state
+    includes the new one.
     """
     result = ExplorationResult([], [], {}, [], COMPLETE)
     try:
@@ -117,40 +152,38 @@ def explore(pta: Pta, budget: Budget = Budget(),
     for edge_id, e in enumerate(pta.edges):
         out_edges.setdefault(e.source, []).append((edge_id, e))
 
-    def subsumer(state: SymbolicState) -> int | None:
-        # Stored states are minimized and nonempty, so matched faces often
-        # settle inclusion without the solver.  Points of the new state,
-        # as integer probes, refute most of the rest: a sample taken once a
-        # candidate needs it, then every point that a ray from the sample
-        # across an unmatched face found outside an earlier candidate.  The
-        # probe that refuted last is tried first: neighbouring stored states
-        # tend to miss the same point.  Only the exact LP of includes
-        # answers that a candidate includes.
+    # Each new state's faces are keyed once; a stored state keeps its keys.
+    vector_ids: dict[tuple, int] = {}
+    keyed = [key_faces(vector_ids, s0.constraint)]
+
+    def subsumer(state: SymbolicState, keyed_faces: list) -> int | None:
+        # A matched face that did not refute holds on the whole new state,
+        # so probes and rays look only at the unmatched faces.  The probe
+        # that refuted last is tried first: neighbouring stored states tend
+        # to miss the same point.
         inner = state.constraint
-        inner_faces = poly.face_map(inner)
+        inner_faces = {vid: (c, strict) for vid, c, strict, _ in keyed_faces}
         probes: list[poly.Probe] = []
-        for idx in by_location.get(state.location, ()):
-            other = result.states[idx].constraint
-            quick = poly.quick_inclusion(other, inner_faces)
-            if quick is not None:
-                if quick:
-                    return idx
+        for idx in by_location[state.location]:
+            faces = unmatched_faces(keyed[idx], inner_faces)
+            if faces is None:
                 continue
+            if not faces:
+                return idx
             if not probes:
                 sample = poly.probe_of(poly.sample_point(inner))
                 probes.append(sample)
-            k = next((k for k, p in enumerate(probes)
-                      if not poly.probe_holds(other.ineqs, p)), None)
-            if k is not None:
-                probes.insert(0, probes.pop(k))
-                continue
-            faces = [o for o in other.ineqs if o.coeffs not in inner_faces]
-            escape = poly.escape_point(other, inner, faces, sample)
-            if escape is not None:
-                probes.insert(0, escape)
-                continue
-            if poly.includes(other, inner):
-                return idx
+            for k, p in enumerate(probes):
+                if not poly.probe_holds(faces, p):
+                    probes.insert(0, probes.pop(k))
+                    break
+            else:
+                other = result.states[idx].constraint
+                escape = poly.escape_point(other, inner, faces, sample)
+                if escape is not None:
+                    probes.insert(0, escape)
+                elif poly.includes(other, inner):
+                    return idx
         return None
 
     queue: deque[int] = deque([0])
@@ -163,8 +196,9 @@ def explore(pta: Pta, budget: Budget = Budget(),
                 continue
             if restrict_to is not None and nxt.location not in restrict_to:
                 continue
-            if use_subsumption:
-                j = subsumer(nxt)
+            nxt_faces = key_faces(vector_ids, nxt.constraint)
+            if use_subsumption and nxt.location in by_location:
+                j = subsumer(nxt, nxt_faces)
                 if j is not None:
                     result.edges.append((i, edge_id, j))
                     continue
@@ -174,6 +208,7 @@ def explore(pta: Pta, budget: Budget = Budget(),
             result.states.append(nxt)
             j = len(result.states) - 1
             by_location.setdefault(nxt.location, []).append(j)
+            keyed.append(nxt_faces)
             result.depths.append(depth + 1)
             result.edges.append((i, edge_id, j))
             result.parents[j] = (i, edge_id)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from parataur import cli
 from parataur.errors import (
     InternalError,
     MalformedBoundsError,
@@ -112,6 +113,24 @@ def test_parse_model_error_paths():
     doc["init"] = "nowhere"
     with pytest.raises(UnknownIdentifierError):
         parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["clocks", "parameters", "locations", "edges"])
+def test_model_lists_must_be_json_arrays(key, tmp_path, capsys):
+    """A string or a number where the model needs a list is one error: line
+    naming the key and exit code 1, not a traceback; a string of clocks is
+    not split into one clock per character."""
+    for value in ("xy", 5):
+        doc = json.loads(LOOP_JSON)
+        doc[key] = value
+        with pytest.raises(ModelSyntaxError, match=key):
+            parse_model(json.dumps(doc))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["classify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ModelSyntax") and repr(key) in err
 
 
 def test_pta_rejects_names_that_are_not_identifiers():

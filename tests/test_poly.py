@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from parataur import poly
+from parataur import poly, symbolic
 from parataur.errors import InternalError, NotAZoneError, UnboundedError
 from parataur.model import Interval, atom, eq_atoms
 from conftest import equal
@@ -268,36 +268,50 @@ def test_difference_carves_middle():
 
 
 # ---------------------------------------------------------------------------
-# quick_inclusion
+# Matched faces: the subsumer's one pass over a stored state's keyed faces
+
+
+def quick_inclusion(outer, inner):
+    """symbolic.unmatched_faces on outer keyed as a stored state and inner
+    keyed through the same ids as a new state: True, False, or the faces
+    of outer left unmatched."""
+    ids = {}
+    keyed = symbolic.key_faces(ids, outer)
+    bounds = {vid: (constant, strict)
+              for vid, constant, strict, _ in symbolic.key_faces(ids, inner)}
+    left = symbolic.unmatched_faces(keyed, bounds)
+    return False if left is None else left or True
 
 
 def test_quick_inclusion_accepts_face_by_face():
     outer = zone(XY, (), atom("x", "<=", constant=3))
     inner = zone(XY, (), atom("x", "<=", constant=2),
                  atom("y", "<=", constant=1))
-    assert poly.quick_inclusion(outer, poly.face_map(inner)) is True
-    assert poly.quick_inclusion(outer, poly.face_map(outer)) is True
+    assert quick_inclusion(outer, inner) is True
+    assert quick_inclusion(outer, outer) is True
     strict_inner = zone(XY, (), atom("x", "<", constant=3),
                         atom("y", "<=", constant=1))
-    assert poly.quick_inclusion(outer, poly.face_map(strict_inner)) is True
+    assert quick_inclusion(outer, strict_inner) is True
 
 
 def test_quick_inclusion_rejects_on_a_tighter_face():
     outer = zone(X, (), atom("x", "<=", constant=2))
     inner = poly.minimized(zone(X, (), atom("x", "<=", constant=3)))
-    assert poly.quick_inclusion(outer, poly.face_map(inner)) is False
+    assert quick_inclusion(outer, inner) is False
     assert not poly.includes(outer, inner)
     open_outer = zone(X, (), atom("x", "<", constant=2))
     closed = poly.minimized(zone(X, (), atom("x", "<=", constant=2)))
-    assert poly.quick_inclusion(open_outer, poly.face_map(closed)) is False
+    assert quick_inclusion(open_outer, closed) is False
     assert not poly.includes(open_outer, closed)
 
 
 def test_quick_inclusion_undecided_without_matched_faces():
-    outer = poly.make(XY, (), [poly.lin({"x": 1, "y": 1}, -4, False)])
+    diagonal = poly.lin({"x": 1, "y": 1}, -4, False)
+    outer = poly.make(XY, (), [diagonal, poly.lin({"x": 1}, -1, False)])
     inner = zone(XY, (), atom("x", "<=", constant=1),
                  atom("y", "<=", constant=1))
-    assert poly.quick_inclusion(outer, poly.face_map(inner)) is None
+    # x <= 1 is matched and not tighter; only the diagonal is left.
+    assert quick_inclusion(outer, inner) == [diagonal]
     assert poly.includes(outer, inner)
 
 
