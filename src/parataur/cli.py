@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-2cm", help="run a two-counter program")
     p.add_argument("program", help="program file, or - for stdin")
-    p.add_argument("--max-steps", type=int, default=100000)
+    p.add_argument("--max-steps", type=_at_least(0), default=100000)
     p.add_argument("--name", default="machine")
     p.add_argument("--dump", action="store_true", help="include the state trace")
     _add_common(p, model=False)
@@ -395,8 +395,7 @@ def main(argv=None) -> int:
                 parser.error(f"PARATAUR_SEED: invalid int value: {env_seed!r}")
         return args.func(args)
     except ParataurError as ex:
-        where = f" ({ex.where})" if getattr(ex, "where", None) else ""
-        print(f"error: {ex.name}: {ex}{where}", file=sys.stderr)
+        print(f"error: {ex.name}: {ex}", file=sys.stderr)
         return 1
     except SystemExit as ex:
         if isinstance(ex.code, str):

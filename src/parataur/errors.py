@@ -17,7 +17,6 @@ class ModelSyntaxError(ParataurError):
     """Malformed model text (bad JSON shape, bad atom syntax)."""
 
     def __init__(self, message: str, where: str | None = None):
-        self.where = where
         super().__init__(message if where is None else f"{message} (in {where})")
 
 

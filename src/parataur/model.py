@@ -114,13 +114,6 @@ class Interval:
     def closed(self) -> bool:
         return not (self.inf_open or self.sup_open)
 
-    def contains(self, value: Fraction) -> bool:
-        if value < self.inf or (value == self.inf and self.inf_open):
-            return False
-        if value > self.sup or (value == self.sup and self.sup_open):
-            return False
-        return True
-
     def integers(self) -> range:
         lo = self.inf + 1 if self.inf_open else self.inf
         hi = self.sup - 1 if self.sup_open else self.sup
@@ -328,6 +321,14 @@ def render_atom(a: GuardAtom) -> str:
 # Model JSON
 
 
+def _strings(entry: dict, key: str, where: str) -> list[str]:
+    """entry[key], absent meaning empty, checked to be an array of strings."""
+    value = entry.get(key, [])
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise ModelSyntaxError(f"{key!r} must be an array of strings", where)
+    return value
+
+
 def parse_model(text: str | bytes) -> Pta:
     try:
         doc = json.loads(text)
@@ -338,8 +339,9 @@ def parse_model(text: str | bytes) -> Pta:
     for key in ("clocks", "parameters", "locations", "init", "edges"):
         if key not in doc:
             raise ModelSyntaxError(f"missing key {key!r}")
-        if key != "init" and not isinstance(doc[key], list):
-            raise ModelSyntaxError(f"{key!r} must be a JSON array")
+        kind = "string" if key == "init" else "array"
+        if not isinstance(doc[key], str if key == "init" else list):
+            raise ModelSyntaxError(f"{key!r} must be a JSON {kind}")
     name = doc.get("name", "model")
     clocks = tuple(doc["clocks"])
     if not all(isinstance(c, str) and _IDENT_RE.fullmatch(c) for c in clocks):
@@ -373,25 +375,25 @@ def parse_model(text: str | bytes) -> Pta:
 
     locations = []
     for entry in doc["locations"]:
-        if not isinstance(entry, dict) or "name" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ModelSyntaxError("location entries must be objects with a name")
-        lname = entry["name"]
-        inv: list[GuardAtom] = []
-        for s in entry.get("invariant", ()):
-            inv.extend(parse_atom(s, clocks, params, f"invariant of {lname}"))
-        locations.append(Location(lname, tuple(inv)))
+        where = f"invariant of {entry['name']}"
+        locations.append(Location(entry["name"], tuple(
+            a for s in _strings(entry, "invariant", where)
+            for a in parse_atom(s, clocks, params, where))))
 
     edges = []
     for idx, entry in enumerate(doc["edges"]):
+        where = f"edge #{idx}"
+        if not isinstance(entry, dict):
+            raise ModelSyntaxError("edge entries must be objects", where)
         for key in ("from", "to"):
-            if key not in entry:
-                raise ModelSyntaxError(f"edge #{idx} missing {key!r}")
-        guard: list[GuardAtom] = []
-        for s in entry.get("guard", ()):
-            guard.extend(parse_atom(s, clocks, params, f"edge #{idx}"))
-        edges.append(Edge(entry["from"], entry["to"],
-                          entry.get("action", "a"), tuple(guard),
-                          frozenset(entry.get("resets", ()))))
+            if not isinstance(entry.get(key), str):
+                raise ModelSyntaxError(f"{key!r} must be a location name", where)
+        guard = tuple(a for s in _strings(entry, "guard", where)
+                      for a in parse_atom(s, clocks, params, where))
+        edges.append(Edge(entry["from"], entry["to"], entry.get("action", "a"),
+                          guard, frozenset(_strings(entry, "resets", where))))
 
     return Pta(name=name, clocks=clocks, parameters=tuple(params),
                locations=tuple(locations), init=doc["init"],

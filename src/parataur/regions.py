@@ -12,20 +12,22 @@ the node and edge that discovered it; no query walks it again.  A yes/no
 reachability test (``ta_reach``) stops the build at the first region of a
 target location.  A reachability witness (``reach_path``) needs the whole
 graph: it follows the parents back from the target region that comes
-first in location order, then the order of ``_enumerate_shapes``.  Lasso
-and deadlock queries build only through their location set.
+first in location order, then ``_shape_rank`` order.  Lasso and deadlock
+queries build only through their location set.
 
 Queries answered on the graph: location reachability (with a discrete-edge
 witness), existence of a reachable cycle with at least one discrete edge,
 and existence of a reachable deadlocked region (no discrete edge from it or
-any delay descendant).  A finite run is maximal iff no discrete extension
-exists, possibly after a delay; time divergence is not part of the
-criterion.
+any delay descendant).  Delay edges never close a cycle, so the lasso test
+peels the nodes without predecessors and asks whether any is left.  A
+finite run is maximal iff no discrete extension exists, possibly after a
+delay; time divergence is not part of the criterion.  The number of all
+regions (``enumeration_size``) is counted clock by clock, not listed.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -93,39 +95,11 @@ def _reset_region(ints: Ints, fracs: Fracs, resets: frozenset[int]) -> tuple[Int
     return new_ints, (zero,) + tuple(c for c in positives if c)
 
 
-def _ordered_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for part in _ordered_partitions(rest):
-        for k in range(len(part)):
-            yield part[:k] + ((first,) + part[k],) + part[k + 1:]
-        for k in range(len(part) + 1):
-            yield part[:k] + ((first,),) + part[k:]
-
-
-def _enumerate_shapes(maxc: Sequence[int]) -> list[tuple[Ints, Fracs]]:
-    h = len(maxc)
-    shapes = []
-    per_clock = [[None] + list(range(m + 1)) for m in maxc]
-    for ints in itertools.product(*per_clock):
-        active = [i for i in range(h) if ints[i] is not None]
-        forced = [i for i in active if ints[i] == maxc[i]]
-        free = [i for i in active if ints[i] < maxc[i]]
-        for r in range(len(free) + 1):
-            for extra in itertools.combinations(free, r):
-                zero = tuple(sorted(forced + list(extra)))
-                positive = tuple(i for i in free if i not in extra)
-                for part in _ordered_partitions(positive):
-                    norm = tuple(tuple(sorted(cls)) for cls in part)
-                    shapes.append((ints, (zero,) + norm))
-    return shapes
-
-
 def _partition_code(classes: Fracs) -> tuple[int, ...]:
-    """Sort key of an ordered partition in ``_ordered_partitions`` order,
-    which puts the least item into each partition of the rest in turn."""
+    """Sort key of an ordered partition.  Taking the items from the least
+    up, each removed item gets a digit: k if it shares the k-th class, n + k
+    if it is alone in the k-th class and n classes are left; the digits of
+    greater items weigh more."""
     part = [set(c) for c in classes]
     code = []
     for first in sorted(i for c in classes for i in c):
@@ -140,8 +114,10 @@ def _partition_code(classes: Fracs) -> tuple[int, ...]:
 
 
 def _shape_rank(maxc: Sequence[int], ints: Ints, fracs: Fracs) -> tuple:
-    """Sort key equal to the position of a shape in
-    ``_enumerate_shapes(maxc)``, computed without enumerating."""
+    """Sort key that defines the order of shapes: integer parts
+    lexicographically, "above" first; then the clocks below their max
+    constant with a zero fraction, fewest first, then as a tuple; then the
+    ``_partition_code`` of the positive fraction classes."""
     extra = tuple(i for i in fracs[0] if ints[i] != maxc[i])
     return (tuple(-1 if v is None else v for v in ints), len(extra), extra,
             _partition_code(fracs[1:]))
@@ -241,81 +217,46 @@ def build_region_graph(ta: Ta, targets: frozenset[str] = frozenset(),
     return RegionGraph(maxc, nodes, delay, discrete_out, parents)
 
 
+def _shape_count(ta: Ta, maxc: Sequence[int], invariant: Guard,
+                 allowed: Sequence[Sequence[int | None]]) -> int:
+    """Number of shapes, with clock i's integer part in allowed[i], on which
+    the invariant holds throughout.  Each clock takes one of a values with a
+    zero fraction or above, or one of b below its max constant with a
+    positive fraction; it then joins one of the k ordered classes of positive
+    fractions so far, or opens a new one in one of k + 1 places."""
+    counts = [1]  # counts[k]: choices so far with k positive fraction classes
+    for x, top, values in zip(ta.clocks, maxc, allowed):
+        atoms = [a for a in invariant if a.clock == x]
+
+        def holds(v: int | None, has_frac: bool) -> bool:
+            return all(_atom_holds(a.op, a.constant, v, has_frac) for a in atoms)
+        a = sum(holds(v, False) for v in values)
+        b = sum(holds(v, True) for v in values if v is not None and v < top)
+        counts = [(a + b * k) * c + b * k * p
+                  for k, (c, p) in enumerate(zip(counts + [0], [0] + counts))]
+    return sum(counts)
+
+
 def enumeration_size(ta: Ta) -> tuple[int, int | None]:
     """Number of regions of every location whose invariant holds throughout,
     and the position of the initial region among them (None if absent), in
-    location order, then shape order."""
+    location order, then ``_shape_rank`` order."""
     maxc = _max_constants(ta)
-    index_of_clock = {x: k for k, x in enumerate(ta.clocks)}
-    h = len(ta.clocks)
-    init = (ta.init, tuple([0] * h), (tuple(range(h)),))
-    shapes = _enumerate_shapes(maxc)
-    count, initial = 0, None
-    for loc in ta.locations:
-        for ints, fracs in shapes:
-            if _guard_holds(loc.invariant, index_of_clock, ints,
-                            frozenset(fracs[0])):
-                if (loc.name, ints, fracs) == init:
-                    initial = count
-                count += 1
-    return count, initial
-
-
-def _scc_ids(nodes: set[int], succ_map: dict[int, list[int]]) -> dict[int, int]:
-    """Tarjan, iterative."""
-    counter = 0
-    comp_id = 0
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    comp: dict[int, int] = {}
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ_map.get(root, ())))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            pushed = False
-            for w in it:
-                if w not in nodes:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ_map.get(w, ()))))
-                    pushed = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp[w] = comp_id
-                    if w == v:
-                        break
-                comp_id += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp
-
-
-def _has_discrete_lasso(graph: RegionGraph, nodes: set[int]) -> bool:
-    comp = _scc_ids(nodes, {i: [j for _, j in graph.successors(i)]
-                            for i in nodes})
-    return any(j in nodes and comp[i] == comp[j]
-               for i in nodes for _, j in graph.discrete_out.get(i, ()))
+    every = [[None, *range(top + 1)] for top in maxc]
+    counts = [_shape_count(ta, maxc, loc.invariant, every) for loc in ta.locations]
+    k = next(k for k, loc in enumerate(ta.locations) if loc.name == ta.init)
+    invariant = ta.locations[k].invariant
+    if not all(_atom_holds(a.op, a.constant, 0, False) for a in invariant):
+        return sum(counts), None
+    # Before the initial shape come, for each j, the shapes with clocks
+    # 0..j-1 at 0 and clock j above; then those with every integer part 0,
+    # of which the initial one, all fractions zero, is the last.
+    h = len(maxc)
+    before = sum(_shape_count(ta, maxc, invariant,
+                              [[0]] * j + [[None]] + every[j + 1:])
+                 for j in range(h))
+    before += _shape_count(ta, maxc, invariant, [[0]] * h) - 1
+    return sum(counts), sum(counts[:k]) + before
 
 
 def ta_reach(ta: Ta, targets: Iterable[str]) -> bool:
@@ -359,7 +300,22 @@ def _inside(ta: Ta, within: Iterable[str]) -> tuple[RegionGraph, set[int]]:
 def ta_lasso(ta: Ta, within: Iterable[str]) -> bool:
     """A reachable cycle with at least one discrete edge, all locations
     within the given set (the path to the cycle stays within it too)."""
-    return _has_discrete_lasso(*_inside(ta, within))
+    graph, inside = _inside(ta, within)
+    # A delay step strictly raises 2 * sum(ints) + [zero class empty], with
+    # "above" counted as max + 1, so delays alone close no cycle and every
+    # cycle holds a discrete edge.  Peel the nodes that no edge inside
+    # enters (Kahn): a cycle is left iff some node is.
+    succ = {i: [j for _, j in graph.successors(i) if j in inside] for i in inside}
+    indegree = Counter(j for targets in succ.values() for j in targets)
+    free = [i for i in inside if not indegree[i]]
+    left = len(inside)
+    while free:
+        left -= 1
+        for j in succ[free.pop()]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                free.append(j)
+    return left > 0
 
 
 def ta_deadlock(ta: Ta) -> bool:

@@ -167,6 +167,39 @@ def path_to(result, index):
 # Region-level oracles
 
 
+def _ordered_partitions(items):
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in _ordered_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + ((first,) + part[k],) + part[k + 1:]
+        for k in range(len(part) + 1):
+            yield part[:k] + ((first,),) + part[k:]
+
+
+def enumerate_shapes(maxc):
+    """Every region shape (ints, fracs) for the per-clock max constants,
+    listed one by one: the oracle of regions._shape_rank's order and of
+    the region count."""
+    h = len(maxc)
+    shapes = []
+    per_clock = [[None] + list(range(m + 1)) for m in maxc]
+    for ints in itertools.product(*per_clock):
+        active = [i for i in range(h) if ints[i] is not None]
+        forced = [i for i in active if ints[i] == maxc[i]]
+        free = [i for i in active if ints[i] < maxc[i]]
+        for r in range(len(free) + 1):
+            for extra in itertools.combinations(free, r):
+                zero = tuple(sorted(forced + list(extra)))
+                positive = tuple(i for i in free if i not in extra)
+                for part in _ordered_partitions(positive):
+                    norm = tuple(tuple(sorted(cls)) for cls in part)
+                    shapes.append((ints, (zero,) + norm))
+    return shapes
+
+
 def reachable_locations(ta):
     return {key[0] for key in regions.build_region_graph(ta).nodes}
 

@@ -236,6 +236,7 @@ def test_explore_dump_and_budget_exit(tmp_path, capsys):
     ("explore", [], "--max-depth", "-1", 0),
     ("check", ["--prop", "EF", "--targets", "l0"], "--max-states", "0", 1),
     ("synth-int", ["--targets", "l0"], "--max-depth", "-2", 0),
+    ("simulate-2cm", [], "--max-steps", "-3", 0),
 ])
 def test_budgets_below_their_least_value_are_usage_errors(
         tmp_path, capsys, command, extra, flag, value, least):

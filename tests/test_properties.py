@@ -24,6 +24,7 @@ from conftest import (
     _GUARD_OPS,
     _random_atoms,
     build,
+    enumerate_shapes,
     equal,
     firing_delay,
     integer_valuations_of,
@@ -388,7 +389,7 @@ def eager_region_graph(ta):
     clock = {x: k for k, x in enumerate(ta.clocks)}
     nodes = [(loc.name, ints, fracs)
              for loc in ta.locations
-             for ints, fracs in regions._enumerate_shapes(maxc)
+             for ints, fracs in enumerate_shapes(maxc)
              if regions._guard_holds(loc.invariant, clock, ints, frozenset(fracs[0]))]
     index = {key: i for i, key in enumerate(nodes)}
     succ = []

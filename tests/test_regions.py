@@ -9,6 +9,7 @@ from parataur import mcm, regions
 from parataur.model import ParamValuation, atom, eq_atoms, instantiate
 from conftest import (
     build,
+    enumerate_shapes,
     integer_valuations_of,
     loop_xy,
     random_bounded_pta,
@@ -57,8 +58,45 @@ def test_shape_rank_sorts_the_enumeration_in_its_own_order():
     cases += [(1, 1, 1, 1), (2, 2, 1, 1), (0, 1, 0, 2), (1, 0, 2, 0)]
     for maxc in cases:
         keys = [regions._shape_rank(maxc, ints, fracs)
-                for ints, fracs in regions._enumerate_shapes(maxc)]
+                for ints, fracs in enumerate_shapes(maxc)]
         assert all(a < b for a, b in zip(keys, keys[1:])), maxc
+
+
+def listed_size(ta):
+    """enumeration_size by listing every region of every location whose
+    invariant holds throughout, in location order, then shape order."""
+    maxc = regions._max_constants(ta)
+    clock = {x: k for k, x in enumerate(ta.clocks)}
+    nodes = [(loc.name, ints, fracs) for loc in ta.locations
+             for ints, fracs in enumerate_shapes(maxc)
+             if regions._guard_holds(loc.invariant, clock, ints, frozenset(fracs[0]))]
+    h = len(ta.clocks)
+    init = (ta.init, (0,) * h, (tuple(range(h)),))
+    return len(nodes), nodes.index(init) if init in nodes else None
+
+
+def test_region_count_places_the_initial_region_after_earlier_locations():
+    # l1 comes first but is not initial; l0's invariant cuts y to [0, 2].
+    pta = build(clocks=("x", "y"),
+                locs=(("l1", (atom("x", "<", constant=1),)),
+                      ("l0", (atom("y", "<=", constant=2),))),
+                init="l0",
+                edges=(("l0", "l1", (atom("x", ">=", constant=2),), ("x",)),))
+    ta = inst(pta)
+    assert regions.enumeration_size(ta) == listed_size(ta) == (54, 26)
+
+
+def test_region_count_without_an_initial_region():
+    pta = build(locs=(("l0", ()), ("l1", (atom("x", ">", constant=0),))),
+                init="l1", edges=(("l1", "l0", (atom("x", "<=", constant=1),), ()),))
+    ta = inst(pta)
+    assert regions.enumeration_size(ta) == listed_size(ta) == (7, None)
+
+
+def test_region_count_of_the_compiled_machine_matches_the_listing():
+    machine = mcm.compile_to_pta(mcm.parse_machine(TWO_INC))
+    ta = instantiate(machine, ParamValuation.of({"a": Fraction(1, 8)}))
+    assert regions.enumeration_size(ta) == listed_size(ta) == (265200, 587)
 
 
 def test_reach_unguarded_edge():
