@@ -343,6 +343,8 @@ def parse_model(text: str | bytes) -> Pta:
         if not isinstance(doc[key], str if key == "init" else list):
             raise ModelSyntaxError(f"{key!r} must be a JSON {kind}")
     name = doc.get("name", "model")
+    if not isinstance(name, str):
+        raise ModelSyntaxError("'name' must be a JSON string")
     clocks = tuple(doc["clocks"])
     if not all(isinstance(c, str) and _IDENT_RE.fullmatch(c) for c in clocks):
         raise ModelSyntaxError("clocks must be identifiers")
@@ -364,12 +366,15 @@ def parse_model(text: str | bytes) -> Pta:
         bounded_flags.append(has_min)
         if has_min:
             lo, hi = entry["min"], entry["max"]
-            if not (isinstance(lo, int) and isinstance(hi, int)):
+            if not all(isinstance(b, int) and not isinstance(b, bool)
+                       for b in (lo, hi)):
                 raise MalformedBoundsError(
                     f"bounds of {pname!r} must be natural numbers")
-            bounds.append((pname, Interval(lo, hi,
-                                           bool(entry.get("min_open", False)),
-                                           bool(entry.get("max_open", False)))))
+            opens = [entry.get(key, False) for key in ("min_open", "max_open")]
+            if not all(isinstance(o, bool) for o in opens):
+                raise ModelSyntaxError(
+                    f"'min_open' and 'max_open' of {pname!r} must be JSON booleans")
+            bounds.append((pname, Interval(lo, hi, *opens)))
     if bounded_flags and any(bounded_flags) and not all(bounded_flags):
         raise MalformedBoundsError("bounds must cover all parameters or none")
 
@@ -390,6 +395,8 @@ def parse_model(text: str | bytes) -> Pta:
         for key in ("from", "to"):
             if not isinstance(entry.get(key), str):
                 raise ModelSyntaxError(f"{key!r} must be a location name", where)
+        if not isinstance(entry.get("action", "a"), str):
+            raise ModelSyntaxError("'action' must be a JSON string", where)
         guard = tuple(a for s in _strings(entry, "guard", where)
                       for a in parse_atom(s, clocks, params, where))
         edges.append(Edge(entry["from"], entry["to"], entry.get("action", "a"),

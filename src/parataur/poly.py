@@ -12,7 +12,9 @@ arithmetic only.  Every polyhedron materializes nonnegativity of all its
 variables, since clock and parameter valuations live in the nonnegative
 rationals.  All operations are exact; the only quantifier elimination used
 anywhere is Fourier-Motzkin, with the usual rule that a combined inequality
-is strict iff either parent is strict.  A sample point takes one chain of
+is strict iff either parent is strict; a step merges two rows' name-sorted
+terms.  A successor takes one list of rows through the guard, the reset,
+the invariant and time elapse.  A sample point takes one chain of
 projections and reads its coordinates back from them in integers.
 
 Linear programs run on an exact fraction-free simplex, split in two: phase
@@ -66,12 +68,6 @@ class LinIneq(NamedTuple):
     def trivially_false(self) -> bool:
         return not self.coeffs and (
             self.constant > 0 or (self.constant == 0 and self.strict))
-
-    def coeff(self, var: str) -> int:
-        for name, c in self.coeffs:
-            if name == var:
-                return c
-        return 0
 
     def evaluate(self, point: Mapping[str, Fraction]) -> bool:
         total = self.constant + sum(c * point[name] for name, c in self.coeffs)
@@ -179,29 +175,51 @@ def bounds_box(clocks: Iterable[str], params: Iterable[str],
 
 
 def _eliminate(ineqs: Iterable[LinIneq], var: str) -> list[LinIneq]:
-    pos: list[tuple[int, LinIneq]] = []
-    neg: list[tuple[int, LinIneq]] = []
+    """One Fourier-Motzkin step.  Each row is split once on var, into its
+    coefficient and its other terms.  Each pair of opposite signs merges
+    its two name-sorted term tuples, scaled so that var cancels (nearly
+    always by 1), and divides by the gcd: the rows lin would build."""
+    pos: list[tuple] = []
+    neg: list[tuple] = []
     rest: list[LinIneq] = []
     for i in ineqs:
-        c = i.coeff(var)
-        if c > 0:
-            pos.append((c, i))
-        elif c < 0:
-            neg.append((c, i))
+        terms = i.coeffs
+        k = bisect.bisect_left(terms, (var,))
+        if k < len(terms) and terms[k][0] == var:
+            (pos if terms[k][1] > 0 else neg).append(
+                (terms[k][1], terms[:k] + terms[k + 1:], i.constant, i.strict))
         else:
             rest.append(i)
-    for (ca, a), (cb, b) in itertools.product(pos, neg):
-        coeffs: dict[str, int] = {}
-        for name, c in a.coeffs:
-            if name != var:
-                coeffs[name] = coeffs.get(name, 0) + (-cb) * c
-        for name, c in b.coeffs:
-            if name != var:
-                coeffs[name] = coeffs.get(name, 0) + ca * c
-        combined = lin(coeffs, (-cb) * a.constant + ca * b.constant,
-                       a.strict or b.strict)
-        if not combined.trivially_true:
-            rest.append(combined)
+    for ca, ta, ka, sa in pos:
+        for cb, tb, kb, sb in neg:
+            constant = -cb * ka + ca * kb
+            strict = sa or sb
+            left = ta if cb == -1 else tuple([(n, -cb * v) for n, v in ta])
+            right = tb if ca == 1 else tuple([(n, ca * v) for n, v in tb])
+            out = []
+            x = y = 0
+            while x < len(left) and y < len(right):
+                (na, va), (nb, vb) = left[x], right[y]
+                if na == nb:
+                    if va + vb:
+                        out.append((na, va + vb))
+                    x, y = x + 1, y + 1
+                elif na < nb:
+                    out.append(left[x])
+                    x += 1
+                else:
+                    out.append(right[y])
+                    y += 1
+            merged = tuple(out) + left[x:] + right[y:]
+            if not merged:
+                if constant > 0 or (constant == 0 and strict):
+                    rest.append(LinIneq((), int(constant > 0), strict))
+                continue
+            g = math.gcd(constant, *[v for _, v in merged])
+            if g > 1:
+                merged = tuple([(n, v // g) for n, v in merged])
+                constant //= g
+            rest.append(LinIneq(merged, constant, strict))
     return list(_dominance_prune(rest))
 
 
@@ -497,12 +515,16 @@ def conjoin_guard(c: Polyhedron, guard: Guard) -> Polyhedron:
 
 
 def _shift(c: Polyhedron, direction: int) -> Polyhedron:
-    """Shared body of time_elapse (direction -1: x -> x - d) and
-    time_past (direction +1: x -> x + d)."""
+    """Shared body of time_elapse (direction -1: x -> x - d), time_past
+    (direction +1: x -> x + d) and successor.  Its make prunes c's rows,
+    which need not be pruned, with the orthant's."""
     clockset = set(c.clocks)
     shifted = []
     for i in make(c.clocks, c.params, c.ineqs).ineqs:
-        cd = direction * sum(cf for name, cf in i.coeffs if name in clockset)
+        cd = 0
+        for name, cf in i.coeffs:
+            if name in clockset:
+                cd += direction * cf
         if cd == 0:
             shifted.append(i)
         else:
@@ -526,14 +548,24 @@ def time_past(c: Polyhedron) -> Polyhedron:
     return _shift(c, +1)
 
 
-def reset(c: Polyhedron, clocks: Iterable[str]) -> Polyhedron:
+def successor(c: Polyhedron, guard: Guard, resets: frozenset[str],
+              inv: Guard) -> Polyhedron | None:
+    """c through an edge, not minimized: the guard, the reset, the target
+    invariant, time elapse and the invariant again; None, with no LP, when
+    the reset leaves a false row.  One list of rows goes through both
+    eliminations, pruned on the way into each and after the elapse: the
+    rows of the five operators, each of which prunes its whole input."""
+    guarded = c.ineqs + tuple(atom_to_ineq(a) for a in guard)
     # Eliminate in the polyhedron's clock order, not the caller's set order,
     # so the Fourier-Motzkin work does not depend on string hashing.
-    resets = set(clocks)
     ordered = [x for x in c.clocks if x in resets]
-    work = eliminate_vars(c, ordered)
+    work = eliminate_vars(Polyhedron(c.clocks, c.params, guarded), ordered)
     work.extend(lin({x: 1}, 0, False) for x in ordered)
-    return make(c.clocks, c.params, work)
+    if any(i.trivially_false for i in work):
+        return None
+    inv_rows = tuple(atom_to_ineq(a) for a in inv)
+    out = _shift(Polyhedron(c.clocks, c.params, tuple(work) + inv_rows), -1)
+    return make(c.clocks, c.params, out.ineqs + inv_rows)
 
 
 def unreset_invariant(inv: Guard, resets: Iterable[str],

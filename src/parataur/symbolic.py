@@ -79,14 +79,10 @@ def succ(pta: Pta, state: SymbolicState, edge: Edge) -> SymbolicState | None:
     if edge.source != state.location:
         raise InternalError(
             f"edge from {edge.source!r} applied at {state.location!r}")
-    inv = pta.invariant(edge.target)
-    c = poly.conjoin_guard(state.constraint, edge.guard)
-    c = poly.reset(c, edge.resets)
-    if c.trivially_empty:
+    c = poly.successor(state.constraint, edge.guard, edge.resets,
+                       pta.invariant(edge.target))
+    if c is None:
         return None
-    c = poly.conjoin_guard(c, inv)
-    c = poly.time_elapse(c)
-    c = poly.conjoin_guard(c, inv)
     c = poly.minimized(c)
     if c.trivially_empty:
         return None

@@ -152,6 +152,17 @@ def equal(a, b):
     return poly.includes(a, b) and poly.includes(b, a)
 
 
+def reset(c, clocks):
+    """The clocks set to 0: each eliminated in c's clock order, then x <= 0
+    added for each.  Kept as an oracle: symbolic.succ resets inside
+    poly.successor."""
+    resets = set(clocks)
+    ordered = [x for x in c.clocks if x in resets]
+    work = poly.eliminate_vars(c, ordered)
+    work.extend(poly.lin({x: 1}, 0, False) for x in ordered)
+    return poly.make(c.clocks, c.params, work)
+
+
 def path_to(result, index):
     """Discrete edge ids of the stored path reaching a state of an
     exploration result."""

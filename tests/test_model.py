@@ -147,10 +147,15 @@ def test_model_lists_must_be_json_arrays(key, tmp_path, capsys):
     (("edges", 0, "from"), ["l0"]),
     (("locations", 0, "name"), ["l0"]),
     (("init",), ["l0"]),
+    (("name",), [1]),
+    (("edges", 0, "action"), {"a": 1}),
+    (("parameters", 0, "min_open"), "false"),
+    (("parameters", 0, "max_open"), 1),
 ])
 def test_malformed_nested_fields_are_one_error_line(field, value, tmp_path, capsys):
-    """A nested field of the wrong JSON type is a ModelSyntax error: one
-    error: line and exit code 1, not a traceback."""
+    """A nested field, the name, or an openness flag of the wrong JSON type
+    is a ModelSyntax error: one error: line and exit code 1, not a
+    traceback, and not a value echoed or read as truthy."""
     doc = json.loads(LOOP_JSON)
     parent = doc
     for key in field[:-1]:
@@ -164,6 +169,24 @@ def test_malformed_nested_fields_are_one_error_line(field, value, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: ModelSyntax")
+
+
+@pytest.mark.parametrize("key, value", [("min", True), ("max", False),
+                                        ("max", 1.5), ("min", "0")])
+def test_bounds_that_are_not_json_integers_are_one_error_line(key, value,
+                                                              tmp_path, capsys):
+    """A bound must be a JSON integer: true is not read as 1, so it is one
+    error: line and exit code 1."""
+    doc = json.loads(LOOP_JSON)
+    doc["parameters"][0][key] = value
+    with pytest.raises(MalformedBoundsError):
+        parse_model(json.dumps(doc))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["classify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: MalformedBounds")
 
 
 def test_pta_rejects_names_that_are_not_identifiers():

@@ -2,6 +2,7 @@
 reset, projection, difference, emptiness, containment, integer points,
 and deterministic sampling."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from parataur import poly, symbolic
 from parataur.errors import InternalError, NotAZoneError, UnboundedError
 from parataur.model import Interval, atom, eq_atoms
-from conftest import equal
+from conftest import equal, reset
 
 X = ("x",)
 XY = ("x", "y")
@@ -99,7 +100,7 @@ def test_past_keeps_differences_clips_at_zero():
 def test_reset_single_clock():
     start = zone(XY, (), eq_atoms("x", constant=5), eq_atoms("y", constant=3))
     expected = zone(XY, (), eq_atoms("x"), eq_atoms("y", constant=3))
-    assert equal(poly.reset(start, ("x",)), expected)
+    assert equal(reset(start, ("x",)), expected)
 
 
 def test_reset_all_clocks_keeps_parameter_constraints():
@@ -107,14 +108,14 @@ def test_reset_all_clocks_keeps_parameter_constraints():
     expected = poly.make(X, P, [poly.lin({"x": 1}, 0, False),
                                 poly.lin({"x": -1}, 0, False),
                                 poly.lin({"p": -1}, 1, False)])
-    assert equal(poly.reset(start, X), expected)
+    assert equal(reset(start, X), expected)
 
 
 def test_reset_eliminates_diagonal():
     start = poly.make(XY, P, [poly.lin({"x": 1, "y": -1, "p": -1}, 0, False)])
     expected = poly.make(XY, P, [poly.lin({"y": 1}, 0, False),
                                  poly.lin({"y": -1}, 0, False)])
-    assert equal(poly.reset(start, ("y",)), expected)
+    assert equal(reset(start, ("y",)), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +381,8 @@ def test_operator_idempotence_small():
     assert equal(poly.time_elapse(up), up)
     down = poly.time_past(c)
     assert equal(poly.time_past(down), down)
-    r = poly.reset(c, ("x",))
-    assert equal(poly.reset(r, ("x",)), r)
+    r = reset(c, ("x",))
+    assert equal(reset(r, ("x",)), r)
 
 
 def test_minimized_drops_redundant_face():
@@ -591,7 +592,7 @@ def quadratic_sample_point(c):
             narrowed = poly._eliminate(narrowed, other)
         lo, hi = (Fraction(0), False), None
         for i in narrowed:
-            a = i.coeff(v)
+            a = dict(i.coeffs).get(v, 0)
             if a == 0:
                 continue
             value = Fraction(-i.constant, a)
@@ -614,7 +615,7 @@ def quadratic_sample_point(c):
         rules.add(rule)
         fixed = []
         for i in work:
-            a = i.coeff(v)
+            a = dict(i.coeffs).get(v, 0)
             if a:
                 const = i.constant + a * value
                 i = poly.lin({n: cf * const.denominator for n, cf in i.coeffs
@@ -823,6 +824,61 @@ def test_dominance_prune_and_row_order_match_their_references():
                          rng.random() < 0.5) for _ in range(rng.randint(0, 12))]
         assert poly._dominance_prune(rows) == reference_prune(rows)
         assert sorted(rows) == sorted(rows, key=row_key)
+
+
+def reference_eliminate(rows, var):
+    """Fourier-Motzkin through dicts: each pair of opposite signs on var
+    summed term by term in a dict, normalized by lin, then pruned.  Also
+    returns what the combined rows showed: a term other than var that
+    cancelled, a scale other than 1, and constant-only rows, trivially
+    true and trivially false."""
+    signs = {1: [], -1: []}
+    rest, seen = [], set()
+    for i in rows:
+        c = dict(i.coeffs).get(var, 0)
+        if c:
+            signs[1 if c > 0 else -1].append((c, i))
+        else:
+            rest.append(i)
+    for (ca, a), (cb, b) in itertools.product(signs[1], signs[-1]):
+        coeffs = {}
+        for name, c in a.coeffs:
+            coeffs[name] = coeffs.get(name, 0) - cb * c
+        for name, c in b.coeffs:
+            coeffs[name] = coeffs.get(name, 0) + ca * c
+        if any(not c for name, c in coeffs.items() if name != var):
+            seen.add("cancelled")
+        if (ca, cb) != (1, -1):
+            seen.add("scaled")
+        combined = poly.lin(coeffs, -cb * a.constant + ca * b.constant,
+                            a.strict or b.strict)
+        if not combined.coeffs:
+            seen.add("true" if combined.trivially_true else "false")
+        if not combined.trivially_true:
+            rest.append(combined)
+    return list(poly._dominance_prune(rest)), seen
+
+
+def test_eliminate_equals_the_dict_reference():
+    """On seeded rows over 3 or 4 variables with coefficients up to 2, the
+    merging _eliminate returns exactly the reference's rows, each in the
+    normal form lin builds."""
+    rng = random.Random(20261024)
+    seen = set()
+    for _ in range(600):
+        names = ROW_NAMES[:rng.randint(3, 4)]
+        rows = [poly.lin({v: rng.randint(-2, 2)
+                          for v in rng.sample(names, rng.randint(1, 3))},
+                         rng.randint(-3, 3), rng.random() < 0.4)
+                for _ in range(rng.randint(0, 8))]
+        var = rng.choice(names)
+        want, shown = reference_eliminate(rows, var)
+        got = poly._eliminate(rows, var)
+        assert got == want, (rows, var)
+        assert all(poly.lin(dict(i.coeffs), i.constant, i.strict) == i
+                   for i in got)
+        seen |= shown
+    assert seen == {"cancelled", "scaled", "true", "false"}
 
 
 def test_a_sample_point_outside_its_polyhedron_raises(monkeypatch):

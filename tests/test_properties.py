@@ -33,6 +33,7 @@ from conftest import (
     random_lu_pta,
     rational_samples_of,
     reachable_locations,
+    reset,
 )
 
 SEED = 20260815
@@ -125,7 +126,7 @@ def random_zone(rng):
     if rng.random() < 0.5:
         c = poly.time_elapse(c)
     if rng.random() < 0.3:
-        c = poly.reset(c, clocks[:1])
+        c = reset(c, clocks[:1])
     return c
 
 
@@ -142,8 +143,8 @@ def test_zone_operator_laws():
         assert equal(poly.time_elapse(up), up)
         assert equal(poly.time_past(down), down)
         assert poly.includes(up, c) and poly.includes(down, c)
-        r = poly.reset(c, c.clocks[:1])
-        assert equal(poly.reset(r, c.clocks[:1]), r)
+        r = reset(c, c.clocks[:1])
+        assert equal(reset(r, c.clocks[:1]), r)
         assert equal(poly.minimized(c), c)
         assert equal(poly.intersect(c, c), c)
         assert poly.zone_violation(up) is None
@@ -178,7 +179,7 @@ def test_integer_points_agree_with_the_grid():
         if rng.random() < 0.5:
             c = poly.time_elapse(c)
         if rng.random() < 0.5:
-            c = poly.reset(c, rng.sample(clocks, 1))
+            c = reset(c, rng.sample(clocks, 1))
             c = poly.conjoin_guard(poly.time_elapse(c), guard(rng.randint(1, 2)))
         ranges = [range(15)] * len(c.clocks) + [range(4)] * len(c.params)
         expected = any(poly.contains(c, dict(zip(c.vars, pt)))
@@ -281,6 +282,50 @@ def test_stored_paths_replay_to_their_states():
                 assert s is not None
             assert s.location == state.location
             assert equal(s.constraint, state.constraint)
+
+
+def stepwise_succ(pta, state, edge):
+    """The successor one whole-polyhedron operator at a time: the guard,
+    the reset, the target invariant, time elapse, the invariant again and
+    minimization; None when that is empty."""
+    inv = pta.invariant(edge.target)
+    c = poly.conjoin_guard(state.constraint, edge.guard)
+    c = reset(c, edge.resets)
+    c = poly.conjoin_guard(poly.time_elapse(poly.conjoin_guard(c, inv)), inv)
+    c = poly.minimized(c)
+    return None if c.trivially_empty else c
+
+
+def test_succ_equals_the_stepwise_operators_row_for_row():
+    """On every edge out of every stored state of seeded draws, succ gives
+    the stepwise successor's rows exactly, or None with it.  Some edges
+    stop at a false row after the reset, some are empty only after
+    minimization, and some successors keep a diagonal."""
+    rng = random.Random(SEED + 12)
+    seen = {"false after reset": 0, "empty": 0, "diagonal": 0}
+    for _ in range(40):
+        pta = random_bounded_pta(rng)
+        for state in symbolic.explore(pta, Budget(max_states=40)).states:
+            for edge in pta.edges:
+                if edge.source != state.location:
+                    continue
+                want = stepwise_succ(pta, state, edge)
+                got = symbolic.succ(pta, state, edge)
+                if want is None:
+                    assert got is None, (serialize(pta), state, edge)
+                    pre = reset(poly.conjoin_guard(state.constraint,
+                                                   edge.guard), edge.resets)
+                    seen["false after reset" if pre.trivially_empty
+                         else "empty"] += 1
+                    continue
+                assert got is not None, (serialize(pta), state, edge)
+                assert got.location == edge.target
+                assert got.constraint.ineqs == want.ineqs, (serialize(pta),
+                                                            state, edge)
+                seen["diagonal"] += any(
+                    len([n for n, _ in i.coeffs if n in pta.clocks]) == 2
+                    for i in want.ineqs)
+    assert all(seen.values()), seen
 
 
 def test_subsumption_does_not_change_projections():
