@@ -117,21 +117,40 @@ def unmatched_faces(outer: list[tuple],
     return unmatched
 
 
+@dataclass
+class _Successor:
+    """A successor, minimized only when a tighter face or the store needs it."""
+    c: poly.Polyhedron
+    minimized: bool = False
+    nonempty: bool | None = None  # None until decided
+
+    def minimize(self) -> bool:
+        """Minimize c unless it is known empty; False when it is empty."""
+        if self.nonempty is not False and not self.minimized:
+            self.c, self.minimized = poly.minimized(self.c), True
+            self.nonempty = not self.c.trivially_empty
+        return self.nonempty
+
+    def is_nonempty(self) -> bool:
+        if self.nonempty is None:
+            self.nonempty = not poly.is_empty(self.c)
+        return self.nonempty
+
+
 def explore(pta: Pta, budget: Budget = Budget(),
             restrict_to: frozenset[str] | None = None,
             use_subsumption: bool = True) -> ExplorationResult:
     """Breadth-first symbolic exploration.
 
-    restrict_to prunes successors whose location is outside the set (the
-    pruning does not count against completeness).  A new state is discarded
-    when an already-stored state at the same location includes it: the
-    first one, in the order they were stored.  Each state's faces are
-    keyed once by coefficient vector, and one pass over a stored state's
-    keyed faces settles most tests.  Integer points of the new state
-    refute most of the rest on the faces left unmatched: its sample, and
-    each point found near the exit of a ray from the sample across such a
-    face.  Only the exact LP of includes answers that a stored state
-    includes the new one.
+    restrict_to drops the edges into locations outside the set (this does
+    not count against completeness).  A new state is discarded when a
+    stored state at its location includes it: the first, in store order.
+    Faces keyed once by coefficient vector settle most tests in one pass
+    per stored state.  The new state's sample, and points near the exit of
+    rays from it, refute most others; only includes' exact LP proves
+    inclusion.  A new state is minimized only at a tighter matched face or
+    to be stored: the other answers hold for any nonempty form of it, and
+    an empty one adds no edge and no budget hit.
     """
     result = ExplorationResult([], [], {}, [], COMPLETE)
     try:
@@ -146,28 +165,38 @@ def explore(pta: Pta, budget: Budget = Budget(),
     by_location: dict[str, list[int]] = {s0.location: [0]}
     out_edges: dict[str, list[tuple[int, Edge]]] = {}
     for edge_id, e in enumerate(pta.edges):
-        out_edges.setdefault(e.source, []).append((edge_id, e))
+        if restrict_to is None or e.target in restrict_to:
+            out_edges.setdefault(e.source, []).append((edge_id, e))
 
-    # Each new state's faces are keyed once; a stored state keeps its keys.
+    # A new state's faces are keyed once per form; a stored state keeps its.
     vector_ids: dict[tuple, int] = {}
     keyed = [key_faces(vector_ids, s0.constraint)]
 
-    def subsumer(state: SymbolicState, keyed_faces: list) -> int | None:
-        # A matched face that did not refute holds on the whole new state,
-        # so probes and rays look only at the unmatched faces.  The probe
-        # that refuted last is tried first: neighbouring stored states tend
-        # to miss the same point.
-        inner = state.constraint
-        inner_faces = {vid: (c, strict) for vid, c, strict, _ in keyed_faces}
+    def subsumer(location: str, new: _Successor) -> int | None:
+        # Probes and rays see only unmatched faces: a matched face that did
+        # not refute holds on all of new.  The last refuting probe goes first,
+        # as neighbours tend to miss the same point.  None when new is empty.
+        def bounds() -> dict[int, tuple[int, bool]]:
+            return {vid: (k, st) for vid, k, st, _ in key_faces(vector_ids, new.c)}
+        inner = bounds()
         probes: list[poly.Probe] = []
-        for idx in by_location[state.location]:
-            faces = unmatched_faces(keyed[idx], inner_faces)
+        for idx in by_location[location]:
+            faces = unmatched_faces(keyed[idx], inner)
+            if faces is None and not new.minimized:
+                if not new.minimize():
+                    return None
+                inner = bounds()
+                faces = unmatched_faces(keyed[idx], inner)
             if faces is None:
                 continue
             if not faces:
-                return idx
+                return idx if new.is_nonempty() else None
             if not probes:
-                sample = poly.probe_of(poly.sample_point(inner))
+                point = poly.sample_point(new.c)
+                new.nonempty = point is not None
+                if point is None:
+                    return None
+                sample = poly.probe_of(point)
                 probes.append(sample)
             for k, p in enumerate(probes):
                 if not poly.probe_holds(faces, p):
@@ -175,10 +204,10 @@ def explore(pta: Pta, budget: Budget = Budget(),
                     break
             else:
                 other = result.states[idx].constraint
-                escape = poly.escape_point(other, inner, faces, sample)
+                escape = poly.escape_point(other, new.c, faces, sample)
                 if escape is not None:
                     probes.insert(0, escape)
-                elif poly.includes(other, inner):
+                elif poly.includes(other, new.c):
                     return idx
         return None
 
@@ -187,28 +216,28 @@ def explore(pta: Pta, budget: Budget = Budget(),
         i = queue.popleft()
         depth = result.depths[i]
         for edge_id, e in out_edges.get(result.states[i].location, ()):
-            nxt = succ(pta, result.states[i], e)
-            if nxt is None:
+            c = poly.successor(result.states[i].constraint, e.guard, e.resets,
+                               pta.invariant(e.target))
+            if c is None:
                 continue
-            if restrict_to is not None and nxt.location not in restrict_to:
-                continue
-            nxt_faces = key_faces(vector_ids, nxt.constraint)
-            if use_subsumption and nxt.location in by_location:
-                j = subsumer(nxt, nxt_faces)
+            new = _Successor(c)
+            if use_subsumption and e.target in by_location:
+                j = subsumer(e.target, new)
                 if j is not None:
                     result.edges.append((i, edge_id, j))
                     continue
             if depth + 1 > budget.max_depth or len(result.states) >= budget.max_states:
-                result.status = BUDGET_EXCEEDED
-                continue
-            result.states.append(nxt)
-            j = len(result.states) - 1
-            by_location.setdefault(nxt.location, []).append(j)
-            keyed.append(nxt_faces)
-            result.depths.append(depth + 1)
-            result.edges.append((i, edge_id, j))
-            result.parents[j] = (i, edge_id)
-            queue.append(j)
+                if new.is_nonempty():
+                    result.status = BUDGET_EXCEEDED
+            elif new.minimize():
+                result.states.append(_checked(SymbolicState(e.target, new.c)))
+                j = len(result.states) - 1
+                by_location.setdefault(e.target, []).append(j)
+                keyed.append(key_faces(vector_ids, new.c))
+                result.depths.append(depth + 1)
+                result.edges.append((i, edge_id, j))
+                result.parents[j] = (i, edge_id)
+                queue.append(j)
     return result
 
 

@@ -251,6 +251,36 @@ def test_eg_lasso_shortcut_at_extreme():
     assert verdict.method == "lu_extreme_lasso"
 
 
+def test_eg_step_2_builds_no_successor_outside_the_set(monkeypatch):
+    """Step 2 explores restricted to the set: the edge that leaves it is
+    dropped before its successor is built, so poly.successor runs once for
+    each stored state and each edge from its location into the set."""
+    guard = eq_atoms("x", constant=1) + (atom("y", "<=", ("p",)),)
+    pta = build(clocks=("x", "y"), params=("p",), locs=(("l0", ()), ("l1", ())),
+                edges=(("l0", "l0", guard, ("x",)),
+                       ("l0", "l1", (atom("x", ">=", constant=2),), ())),
+                bounds=(("p", Interval(0, 3)),))
+    successors, explored = [], []
+
+    def counted(*args, original=poly.successor):
+        successors.append(args)
+        return original(*args)
+
+    def recorded(*args, original=symbolic.explore, **kwargs):
+        explored.append(original(*args, **kwargs))
+        return explored[-1]
+
+    monkeypatch.setattr(poly, "successor", counted)
+    monkeypatch.setattr(symbolic, "explore", recorded)
+    verdict = decide.eg_emptiness(pta, {"l0"})
+    assert verdict.method == "t_restricted_deadlock"
+    [result] = explored
+    into = sum(e.source == s.location and e.target == "l0"
+               for s in result.states for e in pta.edges)
+    assert len(result.states) > 1
+    assert len(successors) == into == len(result.states)
+
+
 def test_eg_preconditions():
     with pytest.raises(NotLUError):
         decide.eg_emptiness(xp_selfloop(), {"l0"})

@@ -13,9 +13,9 @@ import pytest
 
 from parataur import cli, poly, symbolic
 from parataur.errors import EmptyInitialError, InternalError
-from parataur.model import serialize
+from parataur.model import atom, serialize
 from parataur.symbolic import Budget
-from conftest import random_bounded_pta
+from conftest import build, random_bounded_pta
 
 XY = ("x", "y")
 P = ("p",)
@@ -256,14 +256,16 @@ def test_failed_ray_certification_exits_one_with_one_line(tmp_path, capsys,
 # Exploration against an oracle subsumer
 
 
-def oracle_explore(pta, budget):
-    """symbolic.explore with the plain subsumer: matched faces
-    (matched_faces_decide), then the exact LP for every candidate they
-    leave undecided."""
+def oracle_explore(pta, budget, restrict_to=None, use_subsumption=True):
+    """symbolic.explore with the eager symbolic.succ and the plain
+    subsumer: matched faces (matched_faces_decide), then the exact LP for
+    every candidate they leave undecided."""
     result = symbolic.ExplorationResult([], [], {}, [], symbolic.COMPLETE)
     try:
         s0 = symbolic.initial_state(pta)
     except EmptyInitialError:
+        return result
+    if restrict_to is not None and s0.location not in restrict_to:
         return result
     result.states.append(s0)
     result.depths.append(0)
@@ -286,10 +288,12 @@ def oracle_explore(pta, budget):
         for edge_id, e in enumerate(pta.edges):
             if e.source != result.states[i].location:
                 continue
+            if restrict_to is not None and e.target not in restrict_to:
+                continue
             nxt = symbolic.succ(pta, result.states[i], e)
             if nxt is None:
                 continue
-            j = subsumer(nxt)
+            j = subsumer(nxt) if use_subsumption else None
             if j is not None:
                 result.edges.append((i, edge_id, j))
                 continue
@@ -307,6 +311,12 @@ def oracle_explore(pta, budget):
     return result
 
 
+def assert_same_exploration(got, want, pta):
+    assert got.states == want.states, serialize(pta)
+    assert (got.edges, got.parents, got.depths, got.status) == (
+        want.edges, want.parents, want.depths, want.status)
+
+
 def test_explore_matches_the_oracle_subsumer():
     budget = Budget(max_states=150)
     rng = random.Random(SEED + 1)
@@ -318,12 +328,115 @@ def test_explore_matches_the_oracle_subsumer():
     divergent = 0
     for pta in ptas:
         got = symbolic.explore(pta, budget)
-        want = oracle_explore(pta, budget)
-        assert got.states == want.states, serialize(pta)
-        assert (got.edges, got.parents, got.depths, got.status) == (
-            want.edges, want.parents, want.depths, want.status)
+        assert_same_exploration(got, oracle_explore(pta, budget), pta)
         divergent += not got.complete
     assert divergent >= 3
+
+
+def test_restricted_explore_matches_the_oracle_with_and_without_subsumption(
+        monkeypatch):
+    """restrict_to holds the initial location and a seeded part of the
+    others.  explore decides a new state's emptiness lazily: the draws
+    include successors that it drops as empty without minimizing them,
+    by an exact emptiness test or by a sample that finds no point."""
+    lazy_empty = 0
+
+    def count_empty(name, empty):
+        def counted(c, original=getattr(poly, name)):
+            nonlocal lazy_empty
+            out = original(c)
+            lazy_empty += empty(out)
+            return out
+        monkeypatch.setattr(poly, name, counted)
+
+    count_empty("is_empty", lambda out: out)
+    count_empty("sample_point", lambda out: out is None)
+    budget = Budget(max_states=60)
+    rng = random.Random(SEED + 2)
+    pruned = 0
+    for _ in range(60):
+        pta = random_bounded_pta(rng)
+        others = [loc.name for loc in pta.locations if loc.name != pta.init]
+        keep = frozenset([pta.init] + rng.sample(others, rng.randint(0, len(others))))
+        pruned += any(e.target not in keep for e in pta.edges)
+        for use_subsumption in (True, False):
+            got = symbolic.explore(pta, budget, keep, use_subsumption)
+            want = oracle_explore(pta, budget, keep, use_subsumption)
+            assert_same_exploration(got, want, pta)
+    assert pruned >= 20 and lazy_empty >= 100, (pruned, lazy_empty)
+
+
+# ---------------------------------------------------------------------------
+# Minimizing only when needed
+
+
+def misses_per_successor(monkeypatch, pta, budget=Budget()):
+    """explore from cold caches, with the _minimized_ineqs and _ineqs_empty
+    misses of each successor, from its poly.successor call to the next."""
+    for cache in (poly._ineqs_empty, poly._minimized_ineqs):
+        cache.cache_clear()
+    marks = []
+
+    def mark():
+        marks.append((poly._minimized_ineqs.cache_info().misses,
+                      poly._ineqs_empty.cache_info().misses))
+
+    def counted(*args, original=poly.successor):
+        mark()
+        return original(*args)
+
+    monkeypatch.setattr(poly, "successor", counted)
+    result = symbolic.explore(pta, budget)
+    mark()
+    return result, [(m - m0, e - e0) for (m0, e0), (m, e) in zip(marks, marks[1:])]
+
+
+# From the initial state x = y, this guard leaves x <= y - 1 and y <= x
+# after time elapse: empty, though no row is false and no row of x = y is
+# tighter.
+EMPTY_AFTER_ELAPSE = (atom("x", "<=", constant=1), atom("y", ">=", constant=2))
+
+
+def test_an_empty_successor_whose_rows_match_every_face_adds_no_edge(
+        monkeypatch):
+    pta = build(clocks=XY, locs=(("l0", ()), ("l1", ())),
+                edges=(("l0", "l1", (), ()),
+                       ("l0", "l1", EMPTY_AFTER_ELAPSE, ())))
+    result, misses = misses_per_successor(monkeypatch, pta)
+    assert result.complete and len(result.states) == 2
+    assert result.edges == [(0, 0, 1)]
+    # No minimization: one exact emptiness test drops it.
+    assert misses[1] == (0, 1)
+
+
+def test_an_empty_successor_past_the_budget_leaves_the_status_complete(
+        monkeypatch):
+    pta = build(clocks=XY, locs=(("l0", ()), ("l1", ())),
+                edges=(("l0", "l1", EMPTY_AFTER_ELAPSE, ()),))
+    result, misses = misses_per_successor(monkeypatch, pta, Budget(max_states=1))
+    assert (result.status, result.edges) == (symbolic.COMPLETE, [])
+    assert misses == [(0, 1)]
+
+
+def test_a_successor_is_minimized_only_at_a_tighter_face(monkeypatch):
+    """Both locations have y <= 1.  The second edge resets x, and its rows
+    keep y - x <= 1, which the others imply, against the face y - x <= 0
+    of the first state at l1.  Minimized, the new state has no y - x row
+    left; a probe refutes, and it is stored.  The third edge (y > 0, x
+    reset) meets the same face, is minimized once, and the second state
+    includes it.  The fourth (x > 0) matches every face of the first
+    state, none tighter: one emptiness test and no minimization."""
+    inv = (atom("y", "<=", constant=1),)
+    pta = build(clocks=XY, locs=(("l0", inv), ("l1", inv)),
+                edges=(("l0", "l1", (), ()),
+                       ("l0", "l1", (), ("x",)),
+                       ("l0", "l1", (atom("y", ">"),), ("x",)),
+                       ("l0", "l1", (atom("x", ">"),), ())))
+    result, misses = misses_per_successor(monkeypatch, pta)
+    assert result.complete and len(result.states) == 3
+    assert result.edges == [(0, 0, 1), (0, 1, 2), (0, 2, 2), (0, 3, 1)]
+    assert [m for m, _ in misses[1:3]] == [1, 1]
+    assert misses[3] == (0, 1)
 
 
 def test_lp_count_on_a_divergent_draw_is_pinned(monkeypatch):
@@ -347,13 +460,15 @@ def test_lp_count_on_a_divergent_draw_is_pinned(monkeypatch):
 
 def test_lp_solves_on_a_divergent_draw_are_pinned(monkeypatch):
     """Exact emptiness solves and phase 1s of one divergent draw from cold
-    caches.  Minimization drops nonnegativity-implied rows without an LP
-    and tests the other rows on one phase 1 of the closure; includes tests
-    outer's rows on one such phase 1 of inner.  A system with no strict
-    row takes its emptiness from that phase 1, so only a strict system, or
-    a tie on a strict face, takes a _satisfiable call: this draw takes
-    none.  succ tests no guard for emptiness before the reset, no
-    emptiness test follows a minimization, and sample_point solves none."""
+    caches.  explore minimizes a new state only when a stored state's
+    matched face is tighter, or to store it; includes tests outer's rows on
+    one phase 1 of inner, and sample_point solves no LP.  Minimization
+    drops nonnegativity-implied rows without an LP and tests the other rows
+    on one phase 1 of the closure, which also decides emptiness when no row
+    is strict.  The one _satisfiable solve is the poly.is_empty test on the
+    matched path: a new state whose faces a stored state all matches, none
+    tighter, before any sample or minimization showed it nonempty.
+    poly.successor tests no guard for emptiness before the reset."""
     for cache in (poly._ineqs_empty, poly._minimized_ineqs):
         cache.cache_clear()
     solves, phase1s = [], []
@@ -371,5 +486,5 @@ def test_lp_solves_on_a_divergent_draw_are_pinned(monkeypatch):
     result = symbolic.explore(random_bounded_pta(random.Random(DIVERGENT)),
                               Budget(max_states=150))
     assert (len(result.states), result.status) == (150, symbolic.BUDGET_EXCEEDED)
-    assert len(solves) == 0
-    assert len(phase1s) == 438
+    assert len(solves) == 1
+    assert len(phase1s) == 292
