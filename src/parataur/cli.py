@@ -73,12 +73,14 @@ def _parse_values(spec: str, pta: Pta) -> ParamValuation:
             continue
         name, sep, raw = part.partition("=")
         name = name.strip()
-        if not sep or name not in pta.parameters:
+        if not sep or name not in pta.parameters or name in values:
             raise UnknownIdentifierError(f"bad assignment {part!r}")
         try:
             values[name] = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError):
             raise UnknownIdentifierError(f"bad rational in {part!r}") from None
+        if values[name] < 0:
+            raise UnknownIdentifierError(f"negative value in {part!r}")
     return ParamValuation.of(values)
 
 

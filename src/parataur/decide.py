@@ -227,18 +227,13 @@ def ec_emptiness(pta: Pta) -> Verdict:
 def deadlock_region(pta: Pta, state: SymbolicState) -> poly.PolyUnion:
     """The subset of the state from which no delay makes any outgoing edge
     firable into a state satisfying its target invariant."""
-    inv_src = pta.invariant(state.location)
     pasts = []
     for e in pta.edges:
         if e.source != state.location:
             continue
-        enabled = poly.from_guard(pta.clocks, pta.parameters, e.guard)
-        enabled = poly.intersect(
-            enabled,
-            poly.unreset_invariant(pta.invariant(e.target), e.resets,
-                                   pta.clocks, pta.parameters))
-        enabled = poly.conjoin_guard(enabled, inv_src)
-        past = poly.minimized(poly.conjoin_guard(poly.time_past(enabled), inv_src))
+        past = poly.minimized(poly.predecessor(
+            pta.clocks, pta.parameters, e.guard, e.resets,
+            pta.invariant(e.target), pta.invariant(state.location)))
         if not past.trivially_empty:
             pasts.append(past)
     # Minimized and not trivially empty, so each past is nonempty.

@@ -13,8 +13,10 @@ variables, since clock and parameter valuations live in the nonnegative
 rationals.  All operations are exact; the only quantifier elimination used
 anywhere is Fourier-Motzkin, with the usual rule that a combined inequality
 is strict iff either parent is strict; a step merges two rows' name-sorted
-terms.  A successor takes one list of rows through the guard, the reset,
-the invariant and time elapse.  A sample point takes one chain of
+terms.  Every zone is built in one pass over one list of rows: a
+successor (the initial state is the origin's) through the guard, the
+reset, the invariant and time elapse, and the past of an edge through the
+guard, the invariants and time past.  A sample point takes one chain of
 projections and reads its coordinates back from them in integers.
 
 Linear programs run on an exact fraction-free simplex, split in two: phase
@@ -151,19 +153,10 @@ def make(clocks: Iterable[str], params: Iterable[str],
     return Polyhedron(clocks, params, _dominance_prune(rows))
 
 
-def origin(clocks: Iterable[str], params: Iterable[str]) -> Polyhedron:
-    return make(clocks, params,
-                [lin({x: 1}, 0, False) for x in clocks])
-
-
-def from_guard(clocks: Iterable[str], params: Iterable[str],
-               guard: Guard) -> Polyhedron:
-    return make(clocks, params, [atom_to_ineq(a) for a in guard])
-
-
-def bounds_box(clocks: Iterable[str], params: Iterable[str],
-               bounds: Mapping[str, Interval]) -> Polyhedron:
-    ineqs = []
+def origin(clocks: Iterable[str], params: Iterable[str],
+           bounds: Mapping[str, Interval]) -> Polyhedron:
+    """Every clock at 0, each parameter within its bounds."""
+    ineqs = [lin({x: 1}, 0, False) for x in clocks]
     for p, iv in bounds.items():
         ineqs.append(lin({p: -1}, iv.inf, iv.inf_open))
         ineqs.append(lin({p: 1}, -iv.sup, iv.sup_open))
@@ -503,21 +496,10 @@ def eliminate_vars(c: Polyhedron, names: Iterable[str]) -> list[LinIneq]:
 # Operators
 
 
-def intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    if a.vars != b.vars:
-        raise InternalError("universe mismatch")
-    return make(a.clocks, a.params, a.ineqs + b.ineqs)
-
-
-def conjoin_guard(c: Polyhedron, guard: Guard) -> Polyhedron:
-    return make(c.clocks, c.params,
-                c.ineqs + tuple(atom_to_ineq(a) for a in guard))
-
-
 def _shift(c: Polyhedron, direction: int) -> Polyhedron:
-    """Shared body of time_elapse (direction -1: x -> x - d), time_past
-    (direction +1: x -> x + d) and successor.  Its make prunes c's rows,
-    which need not be pruned, with the orthant's."""
+    """Time elapse for successor (direction -1: x -> x - d) and time past
+    for predecessor (direction +1: x -> x + d); nothing else shifts.  Its
+    make prunes c's rows, which need not be pruned, with the orthant's."""
     clockset = set(c.clocks)
     shifted = []
     for i in make(c.clocks, c.params, c.ineqs).ineqs:
@@ -540,14 +522,6 @@ def _shift(c: Polyhedron, direction: int) -> Polyhedron:
     return out
 
 
-def time_elapse(c: Polyhedron) -> Polyhedron:
-    return _shift(c, -1)
-
-
-def time_past(c: Polyhedron) -> Polyhedron:
-    return _shift(c, +1)
-
-
 def successor(c: Polyhedron, guard: Guard, resets: frozenset[str],
               inv: Guard) -> Polyhedron | None:
     """c through an edge, not minimized: the guard, the reset, the target
@@ -568,12 +542,18 @@ def successor(c: Polyhedron, guard: Guard, resets: frozenset[str],
     return make(c.clocks, c.params, out.ineqs + inv_rows)
 
 
-def unreset_invariant(inv: Guard, resets: Iterable[str],
-                      clocks: Iterable[str], params: Iterable[str]) -> Polyhedron:
-    """The invariant with reset clocks substituted by 0: the condition the
-    pre-reset valuation must satisfy for the post-reset one to meet inv."""
-    return make(clocks, params, _fixed([atom_to_ineq(a) for a in inv],
-                                       dict.fromkeys(resets, 0)))
+def predecessor(clocks: tuple[str, ...], params: tuple[str, ...], guard: Guard,
+                resets: Iterable[str], target_inv: Guard,
+                source_inv: Guard) -> Polyhedron:
+    """The past of an edge, not minimized: the guard, the target invariant
+    with the reset clocks fixed to 0 and the source invariant, time past
+    and the source invariant again.  One list of rows, pruned on the way
+    into the elimination and after it."""
+    source_rows = tuple(atom_to_ineq(a) for a in source_inv)
+    rows = [atom_to_ineq(a) for a in guard]
+    rows += _fixed([atom_to_ineq(a) for a in target_inv], dict.fromkeys(resets, 0))
+    out = _shift(Polyhedron(clocks, params, tuple(rows) + source_rows), +1)
+    return make(clocks, params, out.ineqs + source_rows)
 
 
 def project_params(c: Polyhedron) -> Polyhedron:

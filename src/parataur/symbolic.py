@@ -55,17 +55,13 @@ def _checked(state: SymbolicState) -> SymbolicState:
 
 
 def initial_state(pta: Pta) -> SymbolicState:
-    """Origin conjoined with the initial invariant, elapsed, re-intersected
-    with the invariant; parameter bounds conjoined when present."""
+    """The origin within the parameter bounds, if any, through an edge with
+    no guard and no reset into the initial invariant: the invariant, time
+    elapse and the invariant again."""
     inv = pta.invariant(pta.init)
-    c = poly.origin(pta.clocks, pta.parameters)
-    c = poly.conjoin_guard(c, inv)
-    c = poly.time_elapse(c)
-    c = poly.conjoin_guard(c, inv)
-    bounds = pta.bounds_map()
-    if bounds:
-        c = poly.intersect(c, poly.bounds_box(pta.clocks, pta.parameters, bounds))
-    c = poly.minimized(c)
+    c = poly.origin(pta.clocks, pta.parameters, pta.bounds_map() or {})
+    # No row of the origin is constant, so no false row stops successor.
+    c = poly.minimized(poly.successor(c, (), frozenset(), inv))
     if c.trivially_empty:
         raise EmptyInitialError(
             "initial invariant excludes the origin for every parameter valuation")

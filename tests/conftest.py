@@ -152,15 +152,48 @@ def equal(a, b):
     return poly.includes(a, b) and poly.includes(b, a)
 
 
+# The stepwise operators: each prunes its whole input.  src/ builds every
+# zone in one pass (poly.successor, poly.predecessor); these are the
+# references that the property suites compare those passes with.
+
+
+def from_guard(clocks, params, guard):
+    return poly.make(clocks, params, [poly.atom_to_ineq(a) for a in guard])
+
+
+def intersect(a, b):
+    assert a.vars == b.vars, "universe mismatch"
+    return poly.make(a.clocks, a.params, a.ineqs + b.ineqs)
+
+
+def conjoin_guard(c, guard):
+    return poly.make(c.clocks, c.params,
+                     c.ineqs + tuple(poly.atom_to_ineq(a) for a in guard))
+
+
+def time_elapse(c):
+    return poly._shift(c, -1)
+
+
+def time_past(c):
+    return poly._shift(c, +1)
+
+
 def reset(c, clocks):
     """The clocks set to 0: each eliminated in c's clock order, then x <= 0
-    added for each.  Kept as an oracle: symbolic.succ resets inside
-    poly.successor."""
+    added for each."""
     resets = set(clocks)
     ordered = [x for x in c.clocks if x in resets]
     work = poly.eliminate_vars(c, ordered)
     work.extend(poly.lin({x: 1}, 0, False) for x in ordered)
     return poly.make(c.clocks, c.params, work)
+
+
+def unreset_invariant(inv, resets, clocks, params):
+    """The invariant with reset clocks substituted by 0: the condition the
+    pre-reset valuation must satisfy for the post-reset one to meet inv."""
+    return poly.make(clocks, params, poly._fixed(
+        [poly.atom_to_ineq(a) for a in inv], dict.fromkeys(resets, 0)))
 
 
 def path_to(result, index):

@@ -286,10 +286,21 @@ def test_instantiate_extreme_with_regions(tmp_path, capsys):
     assert doc["regions"] == {"count": 8520, "reachable": 166, "initial": 107}
 
 
-def test_instantiate_needs_a_valuation(tmp_path, capsys):
-    code, _, err = run(capsys, "instantiate", model_file(tmp_path, loop_xy(3)))
-    assert code == 1
-    assert "error: UnknownIdentifier" in err
+@pytest.mark.parametrize("values, message", [
+    (None, "need --values or --extreme"),
+    ("p=-1", "negative value in 'p=-1'"),
+    ("p=1,p=2", "bad assignment 'p=2'"),
+    ("q=1", "bad assignment 'q=1'"),
+    ("p=1/0", "bad rational in 'p=1/0'"),
+], ids=["missing", "negative", "repeated", "unknown", "not-rational"])
+def test_instantiate_needs_a_valuation(tmp_path, capsys, values, message):
+    """A missing or bad --values spec is one error line and exit 1."""
+    argv = ["instantiate", model_file(tmp_path, loop_xy(3))]
+    if values is not None:
+        argv += ["--values", values]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: UnknownIdentifier: {message}\n"
 
 
 def test_seed_flag_and_env_are_echoed(tmp_path, capsys, monkeypatch):

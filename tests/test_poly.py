@@ -1,6 +1,7 @@
-"""Golden tests for the polyhedron layer: intersection, elapse, past,
-reset, projection, difference, emptiness, containment, integer points,
-and deterministic sampling."""
+"""Golden tests for the polyhedron layer: the stepwise reference operators
+of conftest (intersection, elapse, past, reset, the unreset invariant),
+projection, difference, emptiness, containment, integer points, and
+deterministic sampling."""
 
 import itertools
 import math
@@ -12,7 +13,15 @@ import pytest
 from parataur import poly, symbolic
 from parataur.errors import InternalError, NotAZoneError, UnboundedError
 from parataur.model import Interval, atom, eq_atoms
-from conftest import equal, reset
+from conftest import (
+    equal,
+    from_guard,
+    intersect,
+    reset,
+    time_elapse,
+    time_past,
+    unreset_invariant,
+)
 
 X = ("x",)
 XY = ("x", "y")
@@ -23,7 +32,7 @@ def zone(clocks, params, *pieces):
     guard = ()
     for piece in pieces:
         guard = guard + (piece if isinstance(piece, tuple) else (piece,))
-    return poly.from_guard(clocks, params, guard)
+    return from_guard(clocks, params, guard)
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +44,16 @@ def test_intersect_overlapping_intervals():
     b = zone(X, (), atom("x", ">=", constant=1))
     expected = zone(X, (), atom("x", "<=", constant=2),
                     atom("x", ">=", constant=1))
-    assert equal(poly.intersect(a, b), expected)
+    assert equal(intersect(a, b), expected)
 
 
 def test_intersect_with_top_is_identity():
     c = zone(XY, P, atom("x", "<=", ("p",)))
-    assert equal(poly.intersect(c, poly.make(XY, P, ())), c)
+    assert equal(intersect(c, poly.make(XY, P, ())), c)
 
 
 def test_intersect_disjoint_reported_empty():
-    c = poly.intersect(zone(X, (), atom("x", "<=", constant=1)),
+    c = intersect(zone(X, (), atom("x", "<=", constant=1)),
                        zone(X, (), atom("x", ">=", constant=2)))
     assert poly.is_empty(c)
 
@@ -54,7 +63,7 @@ def test_intersect_disjoint_reported_empty():
 
 
 def test_elapse_from_origin_is_diagonal():
-    out = poly.time_elapse(poly.origin(XY, ()))
+    out = time_elapse(poly.origin(XY, (), {}))
     expected = poly.make(XY, (), [poly.lin({"x": 1, "y": -1}, 0, False),
                                   poly.lin({"x": -1, "y": 1}, 0, False)])
     assert equal(out, expected)
@@ -64,11 +73,11 @@ def test_elapse_preserves_differences():
     start = zone(XY, P, eq_atoms("x", ("p",)), eq_atoms("y"))
     expected = poly.make(XY, P, [poly.lin({"x": 1, "y": -1, "p": -1}, 0, False),
                                  poly.lin({"x": -1, "y": 1, "p": 1}, 0, False)])
-    assert equal(poly.time_elapse(start), expected)
+    assert equal(time_elapse(start), expected)
 
 
 def test_elapse_drops_upper_bounds():
-    out = poly.time_elapse(zone(X, (), atom("x", "<=", constant=1)))
+    out = time_elapse(zone(X, (), atom("x", "<=", constant=1)))
     assert equal(out, poly.make(X, (), ()))
 
 
@@ -77,20 +86,20 @@ def test_elapse_drops_upper_bounds():
 
 
 def test_past_of_point_is_interval():
-    out = poly.time_past(zone(X, (), eq_atoms("x", constant=1)))
+    out = time_past(zone(X, (), eq_atoms("x", constant=1)))
     assert equal(out, zone(X, (), atom("x", "<=", constant=1)))
 
 
 def test_past_of_origin_is_origin():
-    c = poly.origin(XY, ())
-    assert equal(poly.time_past(c), c)
+    c = poly.origin(XY, (), {})
+    assert equal(time_past(c), c)
 
 
 def test_past_keeps_differences_clips_at_zero():
     diagonal = [poly.lin({"x": 1, "y": -1, "p": -1}, 0, False),
                 poly.lin({"x": -1, "y": 1, "p": 1}, 0, False)]
     start = poly.make(XY, P, diagonal + [poly.lin({"y": -1}, 2, False)])
-    assert equal(poly.time_past(start), poly.make(XY, P, diagonal))
+    assert equal(time_past(start), poly.make(XY, P, diagonal))
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +132,19 @@ def test_reset_eliminates_diagonal():
 
 
 def test_unreset_upper_constant_becomes_true():
-    out = poly.unreset_invariant((atom("x", "<=", constant=2),), ("x",), X, ())
+    out = unreset_invariant((atom("x", "<=", constant=2),), ("x",), X, ())
     assert equal(out, poly.make(X, (), ()))
 
 
 def test_unreset_without_resets_is_identity():
     inv = (atom("x", "<=", ("p",)),)
-    out = poly.unreset_invariant(inv, (), X, P)
+    out = unreset_invariant(inv, (), X, P)
     assert equal(out, zone(X, P, *inv))
 
 
 def test_unreset_keeps_untouched_atoms():
     inv = (atom("x", "<=", ("p",)), atom("y", "<=", constant=1))
-    out = poly.unreset_invariant(inv, ("x",), XY, P)
+    out = unreset_invariant(inv, ("x",), XY, P)
     expected = poly.make(XY, P, [poly.lin({"y": 1}, -1, False)])
     assert equal(out, expected)
 
@@ -189,7 +198,7 @@ def test_nonempty_parametric_at_origin():
 
 def test_empty_through_parameter_bound():
     c = zone(X, P, atom("x", "<=", ("p",)), atom("x", ">=", constant=3))
-    c = poly.intersect(c, poly.make(X, P, [poly.lin({"p": 1}, -2, False)]))
+    c = intersect(c, poly.make(X, P, [poly.lin({"p": 1}, -2, False)]))
     assert poly.is_empty(c)
 
 
@@ -377,10 +386,10 @@ def test_a_variable_named___eps_is_not_the_lp_slack():
 
 def test_operator_idempotence_small():
     c = zone(XY, P, atom("x", "<=", ("p",)), atom("y", ">=", constant=1))
-    up = poly.time_elapse(c)
-    assert equal(poly.time_elapse(up), up)
-    down = poly.time_past(c)
-    assert equal(poly.time_past(down), down)
+    up = time_elapse(c)
+    assert equal(time_elapse(up), up)
+    down = time_past(c)
+    assert equal(time_past(down), down)
     r = reset(c, ("x",))
     assert equal(reset(r, ("x",)), r)
 
@@ -772,7 +781,7 @@ def test_lin_builds_the_normal_form():
         assert poly.lin(dict(row.coeffs), row.constant, row.strict) == row
 
 
-@pytest.mark.parametrize("shift", [poly.time_elapse, poly.time_past])
+@pytest.mark.parametrize("shift", [time_elapse, time_past])
 def test_shift_builds_the_rows_lin_would(monkeypatch, shift):
     """The rows _shift hands to elimination are lin of each row's dict with
     the elapse coefficient added, or the row itself when that is 0."""
@@ -785,7 +794,7 @@ def test_shift_builds_the_rows_lin_would(monkeypatch, shift):
         return eliminate(ineqs, var)
 
     monkeypatch.setattr(poly, "_eliminate", recording)
-    direction = -1 if shift is poly.time_elapse else 1
+    direction = -1 if shift is time_elapse else 1
     clocks, params = ("A", "x", "y"), ("Z", "p")
     rng = random.Random(20261021)
     for _ in range(100):

@@ -6,11 +6,15 @@ a substitution check, a region-graph truth, or an exact per-point delay
 solve.  No property relies on the procedure under test for its own oracle.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from parataur import decide, poly, regions, symbolic
+from parataur.errors import EmptyInitialError
 from parataur.model import (
     Interval,
     ParamValuation,
@@ -24,16 +28,22 @@ from conftest import (
     _GUARD_OPS,
     _random_atoms,
     build,
+    conjoin_guard,
     enumerate_shapes,
     equal,
     firing_delay,
+    from_guard,
     integer_valuations_of,
+    intersect,
     path_to,
     random_bounded_pta,
     random_lu_pta,
     rational_samples_of,
     reachable_locations,
     reset,
+    time_elapse,
+    time_past,
+    unreset_invariant,
 )
 
 SEED = 20260815
@@ -122,9 +132,9 @@ def random_zone(rng):
     guard = ()
     for _ in range(rng.randint(0, 3)):
         guard = guard + _random_atoms(rng, clocks, params, _GUARD_OPS)
-    c = poly.from_guard(clocks, params, guard)
+    c = from_guard(clocks, params, guard)
     if rng.random() < 0.5:
-        c = poly.time_elapse(c)
+        c = time_elapse(c)
     if rng.random() < 0.3:
         c = reset(c, clocks[:1])
     return c
@@ -138,15 +148,15 @@ def test_zone_operator_laws():
         if poly.is_empty(c):
             continue
         checked += 1
-        up = poly.time_elapse(c)
-        down = poly.time_past(c)
-        assert equal(poly.time_elapse(up), up)
-        assert equal(poly.time_past(down), down)
+        up = time_elapse(c)
+        down = time_past(c)
+        assert equal(time_elapse(up), up)
+        assert equal(time_past(down), down)
         assert poly.includes(up, c) and poly.includes(down, c)
         r = reset(c, c.clocks[:1])
         assert equal(reset(r, c.clocks[:1]), r)
         assert equal(poly.minimized(c), c)
-        assert equal(poly.intersect(c, c), c)
+        assert equal(intersect(c, c), c)
         assert poly.zone_violation(up) is None
         assert poly.zone_violation(r) is None
 
@@ -175,12 +185,12 @@ def test_integer_points_agree_with_the_grid():
                                        ("<", "<", "<=", ">", ">", ">="))
             return atoms
 
-        c = poly.from_guard(clocks, params, guard(rng.randint(2, 4)))
+        c = from_guard(clocks, params, guard(rng.randint(2, 4)))
         if rng.random() < 0.5:
-            c = poly.time_elapse(c)
+            c = time_elapse(c)
         if rng.random() < 0.5:
             c = reset(c, rng.sample(clocks, 1))
-            c = poly.conjoin_guard(poly.time_elapse(c), guard(rng.randint(1, 2)))
+            c = conjoin_guard(time_elapse(c), guard(rng.randint(1, 2)))
         ranges = [range(15)] * len(c.clocks) + [range(4)] * len(c.params)
         expected = any(poly.contains(c, dict(zip(c.vars, pt)))
                        for pt in itertools.product(*ranges))
@@ -289,9 +299,9 @@ def stepwise_succ(pta, state, edge):
     the reset, the target invariant, time elapse, the invariant again and
     minimization; None when that is empty."""
     inv = pta.invariant(edge.target)
-    c = poly.conjoin_guard(state.constraint, edge.guard)
+    c = conjoin_guard(state.constraint, edge.guard)
     c = reset(c, edge.resets)
-    c = poly.conjoin_guard(poly.time_elapse(poly.conjoin_guard(c, inv)), inv)
+    c = conjoin_guard(time_elapse(conjoin_guard(c, inv)), inv)
     c = poly.minimized(c)
     return None if c.trivially_empty else c
 
@@ -313,7 +323,7 @@ def test_succ_equals_the_stepwise_operators_row_for_row():
                 got = symbolic.succ(pta, state, edge)
                 if want is None:
                     assert got is None, (serialize(pta), state, edge)
-                    pre = reset(poly.conjoin_guard(state.constraint,
+                    pre = reset(conjoin_guard(state.constraint,
                                                    edge.guard), edge.resets)
                     seen["false after reset" if pre.trivially_empty
                          else "empty"] += 1
@@ -325,6 +335,93 @@ def test_succ_equals_the_stepwise_operators_row_for_row():
                 seen["diagonal"] += any(
                     len([n for n, _ in i.coeffs if n in pta.clocks]) == 2
                     for i in want.ineqs)
+    assert all(seen.values()), seen
+
+
+def stepwise_initial(pta):
+    """The initial state one whole-polyhedron operator at a time: the
+    origin, the invariant, time elapse, the invariant again, the bounds
+    box and minimization; None when that is empty."""
+    inv = pta.invariant(pta.init)
+    c = poly.origin(pta.clocks, pta.parameters, {})
+    c = conjoin_guard(time_elapse(conjoin_guard(c, inv)), inv)
+    box = []
+    for p, iv in (pta.bounds or ()):
+        box.append(poly.lin({p: -1}, iv.inf, iv.inf_open))
+        box.append(poly.lin({p: 1}, -iv.sup, iv.sup_open))
+    if box:
+        c = intersect(c, poly.make(pta.clocks, pta.parameters, box))
+    c = poly.minimized(c)
+    return None if c.trivially_empty else c
+
+
+def with_random_bounds(rng, pta):
+    """pta with no bounds, closed bounds, or bounds open at some end."""
+    kind = rng.choice(("none", "closed", "open"))
+    if kind == "none":
+        return dataclasses.replace(pta, bounds=None)
+    bounds = []
+    for p in pta.parameters:
+        inf = rng.randint(0, 1)
+        opens = (rng.random() < 0.5, rng.random() < 0.5) if kind == "open" else ()
+        bounds.append((p, Interval(inf, inf + rng.randint(1, 3), *opens)))
+    return dataclasses.replace(pta, bounds=tuple(bounds))
+
+
+def test_initial_state_equals_the_stepwise_operators_row_for_row():
+    """initial_state gives the stepwise initial state's rows exactly, or
+    EmptyInitialError when that is empty, on seeded draws with and without
+    bounds, some open, and with invariants on the initial location."""
+    rng = random.Random(SEED + 14)
+    seen = {"open bounds": 0, "initial invariant": 0, "empty": 0}
+    for k in range(600):
+        pta = with_random_bounds(
+            rng, (random_bounded_pta if k % 2 else random_lu_pta)(rng))
+        want = stepwise_initial(pta)
+        seen["open bounds"] += any(not iv.closed for _, iv in pta.bounds or ())
+        seen["initial invariant"] += bool(pta.invariant(pta.init))
+        if want is None:
+            with pytest.raises(EmptyInitialError):
+                symbolic.initial_state(pta)
+            seen["empty"] += 1
+            continue
+        got = symbolic.initial_state(pta)
+        assert got.constraint.ineqs == want.ineqs, serialize(pta)
+    assert all(seen.values()), seen
+
+
+def stepwise_past(pta, location, edge):
+    """The past of an edge one whole-polyhedron operator at a time: the
+    guard, the target invariant under the reset, the source invariant, time
+    past and the source invariant again."""
+    inv = pta.invariant(location)
+    c = intersect(from_guard(pta.clocks, pta.parameters, edge.guard),
+                  unreset_invariant(pta.invariant(edge.target), edge.resets,
+                                    pta.clocks, pta.parameters))
+    return conjoin_guard(time_past(conjoin_guard(c, inv)), inv)
+
+
+def test_predecessor_equals_the_stepwise_operators_row_for_row():
+    """On every edge out of every stored state of seeded draws,
+    poly.predecessor gives the stepwise past's rows exactly.  Some edges
+    reset a clock that the target invariant bounds, and some source
+    locations have an invariant."""
+    rng = random.Random(SEED + 15)
+    seen = {"reset under target invariant": 0, "source invariant": 0}
+    for k in range(80):
+        pta = (random_bounded_pta if k % 2 else random_lu_pta)(rng)
+        for state in symbolic.explore(pta, Budget(max_states=40)).states:
+            for edge in pta.edges:
+                if edge.source != state.location:
+                    continue
+                got = poly.predecessor(
+                    pta.clocks, pta.parameters, edge.guard, edge.resets,
+                    pta.invariant(edge.target), pta.invariant(state.location))
+                want = stepwise_past(pta, state.location, edge)
+                assert got.ineqs == want.ineqs, (serialize(pta), edge)
+                seen["reset under target invariant"] += any(
+                    a.clock in edge.resets for a in pta.invariant(edge.target))
+                seen["source invariant"] += bool(pta.invariant(state.location))
     assert all(seen.values()), seen
 
 

@@ -45,3 +45,26 @@ def test_src_defines_no_function_or_class_it_never_names():
               and not (name.startswith("__") and name.endswith("__"))}
     assert unused == {}
     assert set(UNUSED_BY_SRC) <= set(defined) - named
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def test_every_public_conftest_function_is_named_by_a_test_module():
+    """The shared helpers and reference operators in conftest.py stay in
+    use: each public function defined there is named by some test module,
+    by an import, a Name or an Attribute."""
+    conftest = TESTS / "conftest.py"
+    defined = {node.name for node in ast.parse(conftest.read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    named = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert defined
+    assert sorted(defined - named) == []

@@ -8,7 +8,16 @@ import pytest
 from parataur import poly, symbolic
 from parataur.errors import EmptyInitialError
 from parataur.model import Interval, atom
-from conftest import build, edge_xp, equal, loop_xy, path_to, reset
+from conftest import (
+    build,
+    conjoin_guard,
+    edge_xp,
+    equal,
+    from_guard,
+    loop_xy,
+    path_to,
+    reset,
+)
 
 XY = ("x", "y")
 P = ("p",)
@@ -79,9 +88,9 @@ def test_succ_stops_when_the_reset_leaves_a_false_row():
                 edges=((("l0", "l1", (atom("x", ">=", constant=2),), ("x",)),)))
     edge = pta.edges[0]
     low = symbolic.SymbolicState(
-        "l0", poly.from_guard(("x",), (), (atom("x", "<=", constant=1),)))
+        "l0", from_guard(("x",), (), (atom("x", "<=", constant=1),)))
     assert poly.lin({}, 1, False) in reset(
-        poly.conjoin_guard(low.constraint, edge.guard), ("x",)).ineqs
+        conjoin_guard(low.constraint, edge.guard), ("x",)).ineqs
     caches = (poly._minimized_ineqs, poly._ineqs_empty)
 
     def misses():
@@ -92,7 +101,7 @@ def test_succ_stops_when_the_reset_leaves_a_false_row():
     assert symbolic.succ(pta, low, edge) is None
     assert misses() == 0
     high = symbolic.SymbolicState(
-        "l0", poly.from_guard(("x",), (), (atom("x", "<=", constant=2),)))
+        "l0", from_guard(("x",), (), (atom("x", "<=", constant=2),)))
     assert symbolic.succ(pta, high, edge) is not None
     assert misses() >= 1
 
